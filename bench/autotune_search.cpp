@@ -27,7 +27,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <utility>
@@ -75,11 +74,10 @@ double seconds_of(int threads) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false, json = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strcmp(argv[i], "--json") == 0) json = true;
-  }
+  const bench::Flags flags =
+      bench::parse_flags(argc, argv, {"--smoke", "--json"});
+  const bool smoke = flags.has("--smoke");
+  const bool json = flags.has("--json");
 
   std::vector<Case> cases;
   cases.push_back({"fig7", workloads::fig7_original(128), 16});

@@ -7,8 +7,12 @@
 // under reproduction. See EXPERIMENTS.md for paper-vs-measured records.
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
+#include <cstdlib>
+#include <initializer_list>
 #include <string>
+#include <vector>
 
 #include "bwc/ir/program.h"
 #include "bwc/machine/machine_model.h"
@@ -94,6 +98,36 @@ inline machine::ExecutionProfile program_steady_profile(
   runtime::execute_lowered(lowered, opts);
   h.reset_stats();
   return runtime::execute_lowered(lowered, opts).profile;
+}
+
+/// The boolean flags a bench binary was run with (see parse_flags).
+struct Flags {
+  std::vector<std::string> given;
+  bool has(const std::string& flag) const {
+    return std::find(given.begin(), given.end(), flag) != given.end();
+  }
+};
+
+/// Parse a bench binary's command line: every argument must be one of
+/// `known`. Anything else prints a usage line to stderr and exits with
+/// status 2, so a mistyped flag (`--smok`) fails instead of silently
+/// running the full-size bench.
+inline Flags parse_flags(int argc, char** argv,
+                         std::initializer_list<const char*> known) {
+  Flags flags;
+  for (int i = 1; i < argc; ++i) {
+    bool ok = false;
+    for (const char* k : known) ok = ok || argv[i] == std::string(k);
+    if (!ok) {
+      std::string usage;
+      for (const char* k : known) usage += std::string(" [") + k + "]";
+      std::fprintf(stderr, "%s: unknown flag '%s'\nusage: %s%s\n", argv[0],
+                   argv[i], argv[0], usage.c_str());
+      std::exit(2);
+    }
+    flags.given.emplace_back(argv[i]);
+  }
+  return flags;
 }
 
 inline void print_header(const std::string& title) {

@@ -13,7 +13,6 @@
 #include "fig_data.h"
 
 #include <cstdio>
-#include <cstring>
 #include <iostream>
 
 #include "bwc/support/csv.h"
@@ -22,19 +21,17 @@
 
 int main(int argc, char** argv) {
   using namespace bwc;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) {
-      std::vector<double> o2k_series, ex_series;
-      for (const auto& r : bench::fig3_rows()) {
-        o2k_series.push_back(r.o2k_mbps);
-        ex_series.push_back(r.exemplar_mbps);
-      }
-      std::printf(
-          "{\"bench\": \"fig3_kernel_bandwidth\", "
-          "\"o2k_median_mbps\": %.3f, \"exemplar_median_mbps\": %.3f}\n",
-          median(o2k_series), median(ex_series));
-      return 0;
+  if (bench::parse_flags(argc, argv, {"--json"}).has("--json")) {
+    std::vector<double> o2k_series, ex_series;
+    for (const auto& r : bench::fig3_rows()) {
+      o2k_series.push_back(r.o2k_mbps);
+      ex_series.push_back(r.exemplar_mbps);
     }
+    std::printf(
+        "{\"bench\": \"fig3_kernel_bandwidth\", "
+        "\"o2k_median_mbps\": %.3f, \"exemplar_median_mbps\": %.3f}\n",
+        median(o2k_series), median(ex_series));
+    return 0;
   }
   bench::print_header(
       "Figure 3: effective memory bandwidth of stride-1 kernels");

@@ -19,7 +19,6 @@
 #include "fig_data.h"
 
 #include <cstdio>
-#include <cstring>
 #include <iostream>
 #include <map>
 
@@ -28,22 +27,20 @@
 
 int main(int argc, char** argv) {
   using namespace bwc;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) {
-      // Last row of each (workload, variant) group = largest core count.
-      std::map<std::string, bench::ScalingRow> last;
-      for (const auto& r : bench::multicore_scaling_rows())
-        last[r.workload + "_" + r.variant] = r;
-      std::printf("{\"bench\": \"fig_multicore_scaling\"");
-      // `_ms` keys are lower-is-better; the checker keys direction off the
-      // suffix.
-      for (const auto& [key, r] : last)
-        std::printf(", \"%s_sat_cores\": %d, \"%s_plateau_ms\": %.4f",
-                    key.c_str(), r.saturation_cores, key.c_str(),
-                    r.predicted_ms);
-      std::printf("}\n");
-      return 0;
-    }
+  if (bench::parse_flags(argc, argv, {"--json"}).has("--json")) {
+    // Last row of each (workload, variant) group = largest core count.
+    std::map<std::string, bench::ScalingRow> last;
+    for (const auto& r : bench::multicore_scaling_rows())
+      last[r.workload + "_" + r.variant] = r;
+    std::printf("{\"bench\": \"fig_multicore_scaling\"");
+    // `_ms` keys are lower-is-better; the checker keys direction off the
+    // suffix.
+    for (const auto& [key, r] : last)
+      std::printf(", \"%s_sat_cores\": %d, \"%s_plateau_ms\": %.4f",
+                  key.c_str(), r.saturation_cores, key.c_str(),
+                  r.predicted_ms);
+    std::printf("}\n");
+    return 0;
   }
   bench::print_header(
       "Multicore scaling: shared memory bus, original vs optimized");

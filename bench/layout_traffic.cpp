@@ -31,7 +31,6 @@
 // --json emits one JSON object for the regression checker.
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -75,11 +74,10 @@ Measured measure(const ir::Program& program) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false, json = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strcmp(argv[i], "--json") == 0) json = true;
-  }
+  const bench::Flags flags =
+      bench::parse_flags(argc, argv, {"--smoke", "--json"});
+  const bool smoke = flags.has("--smoke");
+  const bool json = flags.has("--json");
 
   const std::string full = "transpose-layout,regroup-arrays,pad-arrays";
   std::vector<Case> cases;

@@ -23,7 +23,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <functional>
 #include <string>
 #include <vector>
@@ -131,11 +130,10 @@ Row time_pair(const std::function<runtime::ExecResult(bool)>& run, int reps,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false, json = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strcmp(argv[i], "--json") == 0) json = true;
-  }
+  const bench::Flags flags =
+      bench::parse_flags(argc, argv, {"--smoke", "--json"});
+  const bool smoke = flags.has("--smoke");
+  const bool json = flags.has("--json");
 
   if (!runtime::host_compiler_available({})) {
     std::printf("SKIP: no host C compiler for --engine native\n");

@@ -20,7 +20,6 @@
 // Numbers are recorded in EXPERIMENTS.md.
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <functional>
 #include <string>
 #include <vector>
@@ -134,11 +133,10 @@ FfRow profile_fast_forward(const ir::Program& p,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false, json = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strcmp(argv[i], "--json") == 0) json = true;
-  }
+  const bench::Flags flags =
+      bench::parse_flags(argc, argv, {"--smoke", "--json"});
+  const bool smoke = flags.has("--smoke");
+  const bool json = flags.has("--json");
 
   // The gated kernels run several sweeps over an array well past the
   // hierarchy's capacity: one-time array init (identical in both legs)

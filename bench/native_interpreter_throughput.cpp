@@ -19,7 +19,6 @@
 // tools/check_bench_regression.py. Numbers are recorded in EXPERIMENTS.md.
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <functional>
 #include <string>
 #include <vector>
@@ -152,11 +151,10 @@ void print_row(const std::string& name, const char* config,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false, json = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strcmp(argv[i], "--json") == 0) json = true;
-  }
+  const bench::Flags flags =
+      bench::parse_flags(argc, argv, {"--smoke", "--json"});
+  const bool smoke = flags.has("--smoke");
+  const bool json = flags.has("--json");
 
   const std::int64_t n1 = smoke ? 100000 : 1000000;  // fig3-scale stride-1
   const std::int64_t sweeps = smoke ? 6 : 10;        // steady-state repeats

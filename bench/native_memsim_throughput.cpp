@@ -1,13 +1,20 @@
-// Memory-hierarchy simulation throughput: accesses/sec of the
-// CacheLevel::access hot loop under the streaming patterns replay
-// actually issues.
+// Memory-hierarchy simulation throughput: accesses/sec of the simulator
+// under the access patterns replay actually issues.
 //
-// Every replayed access funnels through CacheLevel::access (tag probe,
-// LRU rotate, eviction/writeback), so its cost bounds all non-fast-
-// forwarded simulation. Four configurations:
+// Every replayed access funnels through MemoryHierarchy: L1 hits finish
+// on the inline CacheLevel::try_hit path, everything else takes the
+// out-of-line miss path (tag probe, LRU update, fills and writebacks into
+// the next level), so these costs bound all non-fast-forwarded
+// simulation. Six configurations:
 //   - o2k elementwise: modulo-indexed set lookup, stride-1 doubles
+//     (three of four accesses hit L1)
 //   - o2k coalesced: line-granular load_run/store_run (the recorder's
 //     coalesced fast path -- fewer, wider accesses for the same bytes)
+//   - o2k interleaved runs: three interleaved stride-1 streams, every
+//     access a one-element load_run/store_run -- what the recorder emits
+//     when streams interleave and no run can grow
+//   - o2k column walk: stride-3200 B column sweeps of two matrices, every
+//     access an L1 miss (the miss path: fill, eviction, writeback)
 //   - exemplar elementwise: page-randomized indexing (hashed page frames,
 //     memoized per page)
 //   - o2k random: uniform random addresses, the set-conflict-heavy worst
@@ -19,10 +26,9 @@
 // throughput falls below an absolute floor -- CI runs this mode; the
 // finer-grained 20%-regression gate runs against BENCH_baseline.json via
 // tools/check_bench_regression.py. --json emits one JSON object of
-// metrics. Numbers are recorded in EXPERIMENTS.md.
+// metrics. An unknown flag exits 2. Numbers are recorded in EXPERIMENTS.md.
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <functional>
 #include <string>
 #include <vector>
@@ -54,7 +60,8 @@ double seconds_of(const std::function<void()>& fn, int reps) {
 
 /// Elementwise 1w2r stride-1 stream: two loaded arrays, one written back,
 /// the access mix the compiled engine issues without coalescing.
-void stream_elementwise(memsim::MemoryHierarchy& h, std::uint64_t n) {
+std::uint64_t stream_elementwise(memsim::MemoryHierarchy& h,
+                                 std::uint64_t n) {
   const std::uint64_t a = 1u << 24;
   const std::uint64_t b = 2u << 24;
   for (std::uint64_t i = 0; i < n; ++i) {
@@ -62,11 +69,12 @@ void stream_elementwise(memsim::MemoryHierarchy& h, std::uint64_t n) {
     h.load(b + 8 * i, 8);
     h.store(a + 8 * i, 8);
   }
+  return 3 * n;
 }
 
 /// The same stream as line-granular runs (what Recorder::flush issues
 /// after coalescing): one call per array per line's worth of elements.
-void stream_runs(memsim::MemoryHierarchy& h, std::uint64_t n) {
+std::uint64_t stream_runs(memsim::MemoryHierarchy& h, std::uint64_t n) {
   const std::uint64_t a = 1u << 24;
   const std::uint64_t b = 2u << 24;
   const std::uint64_t per_run = 512;  // elements per flushed run
@@ -76,11 +84,50 @@ void stream_runs(memsim::MemoryHierarchy& h, std::uint64_t n) {
     h.load_run(b + 8 * i, 8, len);
     h.store_run(a + 8 * i, 8, len);
   }
+  return 3 * n;
+}
+
+/// Three interleaved stride-1 streams (c[i] = a[i] + b[i]) issued as the
+/// recorder flushes them when the streams interleave: each access breaks
+/// the previous run, so every run holds one element. The arrays start
+/// 352 B apart modulo the cache sizes, as separately allocated arrays
+/// usually do, so the three streams use different sets (three streams in
+/// one set of the 2-way L1 would miss on every access).
+std::uint64_t stream_interleaved_runs(memsim::MemoryHierarchy& h,
+                                      std::uint64_t n) {
+  const std::uint64_t a = 1u << 24;
+  const std::uint64_t b = (2u << 24) + 352;
+  const std::uint64_t c = (3u << 24) + 704;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    h.load_run(a + 8 * i, 8, 1);
+    h.load_run(b + 8 * i, 8, 1);
+    h.store_run(c + 8 * i, 8, 1);
+  }
+  return 3 * n;
+}
+
+/// Column sweeps of two 400 x 400 row-major double matrices (rows of
+/// 3200 B), b[i][j] = a[i][j]: consecutive accesses are 3200 B apart, so
+/// each one misses the scaled L1 and exercises the fill, eviction and
+/// writeback path.
+std::uint64_t stream_column_walk(memsim::MemoryHierarchy& h,
+                                 std::uint64_t n) {
+  const std::uint64_t a = 1u << 24;
+  const std::uint64_t b = 2u << 24;
+  const std::uint64_t rows = 400;
+  const std::uint64_t row_bytes = 3200;
+  for (std::uint64_t k = 0; k < n; ++k) {
+    const std::uint64_t col = (k / rows) % rows;
+    const std::uint64_t offset = (k % rows) * row_bytes + 8 * col;
+    h.load(a + offset, 8);
+    h.store(b + offset, 8);
+  }
+  return 2 * n;
 }
 
 /// Uniform random doubles over a span several times the largest cache:
 /// near-100% miss, maximal LRU churn.
-void stream_random(memsim::MemoryHierarchy& h, std::uint64_t n) {
+std::uint64_t stream_random(memsim::MemoryHierarchy& h, std::uint64_t n) {
   Prng rng(42);
   // Element span whose byte footprint is 8x the total cache capacity.
   const std::uint64_t span_elems = h.total_capacity_bytes();
@@ -92,21 +139,16 @@ void stream_random(memsim::MemoryHierarchy& h, std::uint64_t n) {
       h.load(addr, 8);
     }
   }
+  return n;
 }
-
-struct Row {
-  double aps = 0.0;       // accesses per second
-  double lines_ps = 0.0;  // L1 line touches per second (runs config)
-};
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false, json = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strcmp(argv[i], "--json") == 0) json = true;
-  }
+  const bench::Flags flags =
+      bench::parse_flags(argc, argv, {"--smoke", "--json"});
+  const bool smoke = flags.has("--smoke");
+  const bool json = flags.has("--json");
 
   const std::uint64_t n = smoke ? 2000000 : 8000000;  // iterations
   const int reps = smoke ? 2 : 3;
@@ -121,15 +163,14 @@ int main(int argc, char** argv) {
   std::vector<std::pair<std::string, double>> metrics;
   const auto bench_one = [&](const char* name, const char* key,
                              const machine::MachineModel& machine,
-                             void (*stream)(memsim::MemoryHierarchy&,
-                                            std::uint64_t),
+                             std::uint64_t (*stream)(memsim::MemoryHierarchy&,
+                                                     std::uint64_t),
                              bool gate) {
     // One warm pass outside the timer: measure steady-state probe cost,
     // not first-touch allocation of the tag arrays.
     memsim::MemoryHierarchy h = machine.make_hierarchy();
-    stream(h, n);
+    const double accesses = static_cast<double>(stream(h, n));
     const double secs = seconds_of([&] { stream(h, n); }, reps);
-    const double accesses = 3.0 * static_cast<double>(n);
     // For the runs config the simulator-call count is per line, not per
     // element; report accesses/sec in element terms either way so the
     // configurations are comparable byte-for-byte.
@@ -143,6 +184,10 @@ int main(int argc, char** argv) {
             stream_elementwise, /*gate=*/true);
   bench_one("o2k coalesced runs", "o2k_runs_aps", bench::o2k(), stream_runs,
             /*gate=*/false);
+  bench_one("o2k interleaved runs", "o2k_interleaved_runs_aps", bench::o2k(),
+            stream_interleaved_runs, /*gate=*/false);
+  bench_one("o2k column walk", "o2k_column_walk_aps", bench::o2k(),
+            stream_column_walk, /*gate=*/false);
   bench_one("exemplar elementwise", "exemplar_elementwise_aps",
             bench::exemplar(), stream_elementwise, /*gate=*/true);
   bench_one("o2k random", "o2k_random_aps", bench::o2k(), stream_random,

@@ -34,7 +34,6 @@
 // recorded in EXPERIMENTS.md.
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <functional>
 #include <string>
 #include <utility>
@@ -115,11 +114,10 @@ ir::Program fixed_point(ir::Program program, const std::string& spec) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false, json = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strcmp(argv[i], "--json") == 0) json = true;
-  }
+  const bench::Flags flags =
+      bench::parse_flags(argc, argv, {"--smoke", "--json"});
+  const bool smoke = flags.has("--smoke");
+  const bool json = flags.has("--json");
 
   const int reps = smoke ? 3 : 5;
   const std::string trio2 = std::string(kTrio) + "," + kTrio;

@@ -33,7 +33,10 @@ CacheLevel::CacheLevel(CacheConfig config) : config_(std::move(config)) {
   sets_ = config_.num_sets();
   ways_ = config_.ways();
   while ((std::uint64_t{1} << line_shift_) < config_.line_bytes) ++line_shift_;
-  lines_.assign(static_cast<std::size_t>(sets_ * ways_), Line{});
+  slots_.assign(static_cast<std::size_t>(sets_ * ways_), 0);
+  valid_.assign(static_cast<std::size_t>(sets_), 0);
+  write_back_ = config_.write_policy == WritePolicy::kWriteBack;
+  write_allocate_ = config_.allocate_policy == AllocatePolicy::kWriteAllocate;
   set_mask_ = sets_ - 1;
   randomized_ = config_.page_randomization_seed != 0;
   if (randomized_) {
@@ -49,21 +52,17 @@ CacheLevel::CacheLevel(CacheConfig config) : config_(std::move(config)) {
 
 void CacheLevel::reset() {
   reset_stats();
-  lines_.assign(lines_.size(), Line{});
-  tick_ = 0;
+  valid_.assign(valid_.size(), 0);
 }
 
-std::size_t CacheLevel::set_index(std::uint64_t line_addr) const {
-  const std::uint64_t line_id = line_addr >> line_shift_;
-  if (!randomized_) {
-    return static_cast<std::size_t>(line_id & set_mask_);
-  }
+std::size_t CacheLevel::randomized_set_index(std::uint64_t addr) const {
   // Random physical page placement: the page picks a pseudo-random frame
   // slot; lines keep their order within the page (spatial locality holds).
   // Geometry is power-of-two throughout (validated), so the page split and
   // frame pick are shifts and masks; the per-page hash is memoized because
   // streaming accesses stay in one page for many consecutive lines.
-  const std::uint64_t page = line_addr >> page_shift_;
+  const std::uint64_t line_id = addr >> line_shift_;
+  const std::uint64_t page = addr >> page_shift_;
   if (page != cached_page_) {
     std::uint64_t state = page ^ config_.page_randomization_seed;
     cached_page_hash_ = splitmix64(state);
@@ -86,39 +85,17 @@ CacheLevel::AccessResult CacheLevel::access(std::uint64_t line_addr,
   BWC_ASSERT(line_addr % config_.line_bytes == 0,
              "line address must be line-aligned");
   const std::uint64_t tag = line_addr >> line_shift_;
-  Line* const set =
-      lines_.data() + set_index(line_addr) * static_cast<std::size_t>(ways_);
-  const std::uint64_t now = ++tick_;
+  const std::size_t s = set_index(line_addr);
+  std::uint64_t* const set = slots_.data() + s * ways_;
+  const std::uint32_t n = valid_[s];
 
   AccessResult result;
-
-  // One pass over the set finds the hit way and, failing that, the victim
-  // (first invalid way if any, else LRU among the valid ways).
-  Line* hit = nullptr;
-  Line* invalid = nullptr;
-  Line* lru = set;
-  std::uint64_t oldest = ~std::uint64_t{0};
-  for (std::size_t w = 0; w < ways_; ++w) {
-    Line& line = set[w];
-    if (!line.valid) {
-      if (invalid == nullptr) invalid = &line;
-      continue;
-    }
-    if (line.tag == tag) {
-      hit = &line;
-      break;
-    }
-    if (line.last_used < oldest) {
-      oldest = line.last_used;
-      lru = &line;
-    }
-  }
-
-  if (hit != nullptr) {
-    hit->last_used = now;
+  for (std::uint32_t k = 0; k < n; ++k) {
+    if ((set[k] >> 1) != tag) continue;
+    const bool dirty_now = is_write && write_back_;
+    promote(set, k, set[k] | static_cast<std::uint64_t>(dirty_now));
     if (is_write) {
       ++stats_.write_hits;
-      if (config_.write_policy == WritePolicy::kWriteBack) hit->dirty = true;
     } else {
       ++stats_.read_hits;
     }
@@ -129,83 +106,72 @@ CacheLevel::AccessResult CacheLevel::access(std::uint64_t line_addr,
   // Miss path.
   if (is_write) {
     ++stats_.write_misses;
-    if (config_.allocate_policy == AllocatePolicy::kNoWriteAllocate) {
-      return result;  // bypass: no fill, no eviction
-    }
+    if (!write_allocate_) return result;  // bypass: no fill, no eviction
   } else {
     ++stats_.read_misses;
   }
 
-  Line& line = invalid != nullptr ? *invalid : *lru;
-  if (invalid == nullptr) {
+  // A set with a free slot fills it; a full set drops its LRU slot.
+  std::uint32_t moved = n;
+  if (n == ways_) {
     ++stats_.evictions;
-    if (line.dirty) {
+    const std::uint64_t victim = set[n - 1];
+    if ((victim & 1) != 0) {
       ++stats_.writebacks;
       result.evicted_dirty = true;
-      result.evicted_line_addr = line.tag << line_shift_;
+      result.evicted_line_addr = (victim >> 1) << line_shift_;
     }
+    moved = n - 1;
+  } else {
+    valid_[s] = n + 1;
   }
-
-  line.valid = true;
-  line.tag = tag;
-  line.last_used = now;
-  line.dirty =
-      is_write && config_.write_policy == WritePolicy::kWriteBack;
+  promote(set, moved,
+          (tag << 1) | static_cast<std::uint64_t>(is_write && write_back_));
   result.filled = true;
   return result;
 }
 
 bool CacheLevel::contains(std::uint64_t line_addr) const {
   const std::uint64_t tag = tag_of(line_addr);
-  const std::size_t base = set_index(line_addr) * static_cast<std::size_t>(ways_);
-  for (std::size_t w = 0; w < ways_; ++w) {
-    const Line& line = lines_[base + w];
-    if (line.valid && line.tag == tag) return true;
-  }
+  const std::size_t s = set_index(line_addr);
+  const std::uint64_t* const set = slots_.data() + s * ways_;
+  for (std::uint32_t k = 0; k < valid_[s]; ++k)
+    if ((set[k] >> 1) == tag) return true;
   return false;
 }
 
 bool CacheLevel::invalidate(std::uint64_t line_addr) {
   const std::uint64_t tag = tag_of(line_addr);
-  const std::size_t base = set_index(line_addr) * static_cast<std::size_t>(ways_);
-  for (std::size_t w = 0; w < ways_; ++w) {
-    Line& line = lines_[base + w];
-    if (line.valid && line.tag == tag) {
-      const bool was_dirty = line.dirty;
-      line = Line{};
-      return was_dirty;
-    }
+  const std::size_t s = set_index(line_addr);
+  std::uint64_t* const set = slots_.data() + s * ways_;
+  const std::uint32_t n = valid_[s];
+  for (std::uint32_t k = 0; k < n; ++k) {
+    if ((set[k] >> 1) != tag) continue;
+    const bool was_dirty = (set[k] & 1) != 0;
+    // Close the gap: older lines keep their order, the free slot is last.
+    for (std::uint32_t j = k + 1; j < n; ++j) set[j - 1] = set[j];
+    valid_[s] = n - 1;
+    return was_dirty;
   }
   return false;
 }
 
 std::uint64_t CacheLevel::valid_line_count() const {
   std::uint64_t count = 0;
-  for (const Line& line : lines_)
-    if (line.valid) ++count;
+  for (const std::uint32_t n : valid_) count += n;
   return count;
 }
 
-// Ticks are unique (every access bumps the level-wide counter), so the
-// oldest-to-youngest order within a set is total.
+// Slots already sit in recency order, so a snapshot is a copy of each
+// set's valid prefix.
 void CacheLevel::snapshot_state(ResidentState* out) const {
   out->entries.clear();
   out->set_begin.clear();
   out->set_begin.reserve(static_cast<std::size_t>(sets_) + 1);
-  std::vector<const Line*> order;
-  order.reserve(static_cast<std::size_t>(ways_));
   for (std::uint64_t s = 0; s < sets_; ++s) {
     out->set_begin.push_back(static_cast<std::uint32_t>(out->entries.size()));
-    const Line* set = lines_.data() + s * ways_;
-    order.clear();
-    for (std::uint64_t w = 0; w < ways_; ++w)
-      if (set[w].valid) order.push_back(&set[w]);
-    std::sort(order.begin(), order.end(), [](const Line* a, const Line* b) {
-      return a->last_used < b->last_used;
-    });
-    for (const Line* line : order)
-      out->entries.push_back((line->tag << 1) |
-                             static_cast<std::uint64_t>(line->dirty));
+    const std::uint64_t* const set = slots_.data() + s * ways_;
+    out->entries.insert(out->entries.end(), set, set + valid_[s]);
   }
   out->set_begin.push_back(static_cast<std::uint32_t>(out->entries.size()));
 }
@@ -215,29 +181,18 @@ bool CacheLevel::state_equals_shifted(const ResidentState& snap,
   BWC_ASSERT(modulo_indexed(),
              "state translation requires modulo set indexing");
   const std::uint64_t delta = static_cast<std::uint64_t>(delta_lines);
-  std::vector<const Line*> order;
-  order.reserve(static_cast<std::size_t>(ways_));
+  // Shifting a tag by delta adds delta << 1 to its packed slot and leaves
+  // the dirty bit alone.
+  const std::uint64_t slot_delta = delta << 1;
   for (std::uint64_t s = 0; s < sets_; ++s) {
     // Set s's content must be snapshot set (s - delta) mod sets, shifted.
     const std::uint64_t src = (s - delta) & set_mask_;
     const std::uint32_t begin = snap.set_begin[static_cast<std::size_t>(src)];
     const std::uint32_t end = snap.set_begin[static_cast<std::size_t>(src) + 1];
-    const Line* set = lines_.data() + s * ways_;
-    order.clear();
-    for (std::uint64_t w = 0; w < ways_; ++w)
-      if (set[w].valid) order.push_back(&set[w]);
-    if (order.size() != static_cast<std::size_t>(end - begin)) return false;
-    std::sort(order.begin(), order.end(), [](const Line* a, const Line* b) {
-      return a->last_used < b->last_used;
-    });
-    for (std::size_t k = 0; k < order.size(); ++k) {
-      const std::uint64_t want = snap.entries[begin + k];
-      const std::uint64_t have =
-          (((want >> 1) + delta) << 1) | (want & 1);
-      const std::uint64_t got = (order[k]->tag << 1) |
-                                static_cast<std::uint64_t>(order[k]->dirty);
-      if (got != have) return false;
-    }
+    if (valid_[s] != end - begin) return false;
+    const std::uint64_t* const set = slots_.data() + s * ways_;
+    for (std::uint32_t k = 0; k < valid_[s]; ++k)
+      if (set[k] != snap.entries[begin + k] + slot_delta) return false;
   }
   return true;
 }
@@ -249,13 +204,18 @@ void CacheLevel::shift_state(std::int64_t delta_lines) {
   const std::uint64_t delta_sets = delta & set_mask_;
   if (delta_sets != 0) {
     // New set s takes old set (s - delta) mod sets: a right rotation of
-    // the set-major line array by delta_sets whole sets.
-    const auto pivot = static_cast<std::ptrdiff_t>((sets_ - delta_sets) *
-                                                   ways_);
-    std::rotate(lines_.begin(), lines_.begin() + pivot, lines_.end());
+    // the set-major slot array (and of the valid counts) by delta_sets.
+    const auto pivot = static_cast<std::ptrdiff_t>(sets_ - delta_sets);
+    std::rotate(valid_.begin(), valid_.begin() + pivot, valid_.end());
+    std::rotate(slots_.begin(),
+                slots_.begin() + pivot * static_cast<std::ptrdiff_t>(ways_),
+                slots_.end());
   }
-  for (Line& line : lines_)
-    if (line.valid) line.tag += delta;
+  const std::uint64_t slot_delta = delta << 1;
+  for (std::uint64_t s = 0; s < sets_; ++s) {
+    std::uint64_t* const set = slots_.data() + s * ways_;
+    for (std::uint32_t k = 0; k < valid_[s]; ++k) set[k] += slot_delta;
+  }
 }
 
 void CacheLevel::add_stats_scaled(const CacheLevelStats& delta,

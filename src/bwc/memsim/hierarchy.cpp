@@ -23,88 +23,118 @@ MemoryHierarchy::MemoryHierarchy(std::vector<CacheConfig> configs) {
   }
 }
 
-void MemoryHierarchy::load(std::uint64_t addr, std::uint64_t size) {
-  BWC_CHECK(size > 0, "load size must be positive");
-  ++loads_;
-  boundary_[0].bytes_toward_cpu += size;
-  access(0, addr, size, /*is_write=*/false);
-}
-
-void MemoryHierarchy::store(std::uint64_t addr, std::uint64_t size) {
-  BWC_CHECK(size > 0, "store size must be positive");
-  ++stores_;
-  boundary_[0].bytes_from_cpu += size;
-  access(0, addr, size, /*is_write=*/true);
-}
-
-void MemoryHierarchy::load_run(std::uint64_t addr, std::uint64_t size,
-                               std::uint64_t count, bool descending) {
-  BWC_CHECK(size > 0 && count > 0, "run size and count must be positive");
-  loads_ += count;
-  boundary_[0].bytes_toward_cpu += size;
-  access(0, addr, size, /*is_write=*/false, descending);
-}
-
-void MemoryHierarchy::store_run(std::uint64_t addr, std::uint64_t size,
-                                std::uint64_t count, bool descending) {
-  BWC_CHECK(size > 0 && count > 0, "run size and count must be positive");
-  stores_ += count;
-  boundary_[0].bytes_from_cpu += size;
-  access(0, addr, size, /*is_write=*/true, descending);
-}
-
-void MemoryHierarchy::access(std::size_t level_index, std::uint64_t addr,
-                             std::uint64_t size, bool is_write,
-                             bool descending) {
-  if (level_index == levels_.size()) return;  // reached memory
-
-  CacheLevel& level = levels_[level_index];
-  const std::uint64_t line = level.config().line_bytes;
+void MemoryHierarchy::access(std::uint64_t addr, std::uint64_t size,
+                             bool is_write, bool descending) {
+  if (levels_.empty()) return;  // cache-less: straight to memory
+  const std::uint64_t line = levels_[0].config().line_bytes;
   const std::uint64_t mask = ~(line - 1);  // line sizes are powers of two
   const std::uint64_t first = addr & mask;
   const std::uint64_t last = (addr + size - 1) & mask;
-
-  const auto touch = [&](std::uint64_t la) {
-    const auto result = level.access(la, is_write);
-
-    if (result.filled && !result.hit) {
-      // Fill: pull the whole line from the next level.
-      boundary_[level_index + 1].bytes_toward_cpu += line;
-      access(level_index + 1, la, line, /*is_write=*/false);
-    }
-    if (result.evicted_dirty) {
-      // Writeback of the victim line into the next level.
-      boundary_[level_index + 1].bytes_from_cpu += line;
-      access(level_index + 1, result.evicted_line_addr, line,
-             /*is_write=*/true);
-    }
-    if (is_write) {
-      const bool through =
-          level.config().write_policy == WritePolicy::kWriteThrough;
-      const bool bypass =
-          !result.hit && !result.filled;  // no-write-allocate miss
-      if (through || bypass) {
-        // Forward only the bytes of this access that land in this line.
-        const std::uint64_t begin = std::max(addr, la);
-        const std::uint64_t end = std::min(addr + size, la + line);
-        const std::uint64_t chunk = end - begin;
-        boundary_[level_index + 1].bytes_from_cpu += chunk;
-        access(level_index + 1, begin, chunk, /*is_write=*/true);
-      }
-    }
+  // Each line is touched with the part of the access that lands in it.
+  const std::uint64_t end = addr + size;
+  const auto touch_line = [&](std::uint64_t la) {
+    const std::uint64_t begin = std::max(addr, la);
+    touch(0, begin, std::min(end, la + line) - begin, is_write);
   };
-
   if (!descending) {
-    for (std::uint64_t la = first; la <= last; la += line) touch(la);
+    for (std::uint64_t la = first; la <= last; la += line) touch_line(la);
   } else {
     // A stride -1 stream touches its lines high-to-low; walking the run
     // the same way keeps fills, evictions and LRU order element-exact.
-    // Sub-accesses (fills, writebacks, forwarded chunks) each cover at
-    // most one line of the next level, so they need no direction.
     for (std::uint64_t la = last;; la -= line) {
-      touch(la);
+      touch_line(la);
       if (la == first) break;
     }
+  }
+}
+
+// The recursive definition of a line touch -- access this level, then
+// fully complete the fill from the next level, then the writeback of the
+// victim into it, then the forwarded write -- run as a loop. A fill that
+// lies in one line of the next level (the usual case: lines grow toward
+// memory) is taken at once as the loop's next access, since it comes
+// first; writebacks and forwarded writes wait on an explicit depth-first
+// stack, pushed in reverse so they pop in order. A sub-access spanning
+// several lines of its level (a next level with smaller lines) is split
+// into per-line pieces in ascending order, the order the per-line walk of
+// a range always used.
+void MemoryHierarchy::touch(std::size_t level, std::uint64_t addr,
+                            std::uint64_t size, bool is_write) {
+  std::size_t top = 0;
+  const auto push = [&](std::uint64_t a, std::uint64_t n, std::size_t lvl,
+                        bool w) {
+    if (top == pending_.size()) pending_.resize(2 * top + 8);
+    pending_[top++] = Pending{a, n, lvl, w};
+  };
+  // Load the next single-line sub-access; false when none is left.
+  const auto pop = [&] {
+    for (;;) {
+      if (top == 0) return false;
+      const Pending p = pending_[--top];
+      const std::uint64_t sub_line = levels_[p.level].config().line_bytes;
+      const std::uint64_t first = p.addr & ~(sub_line - 1);
+      const std::uint64_t last = (p.addr + p.size - 1) & ~(sub_line - 1);
+      if (first == last) {
+        level = p.level;
+        addr = p.addr;
+        size = p.size;
+        is_write = p.is_write;
+        return true;
+      }
+      const std::uint64_t end = p.addr + p.size;
+      for (std::uint64_t piece = last;; piece -= sub_line) {
+        const std::uint64_t begin = std::max(p.addr, piece);
+        push(begin, std::min(end, piece + sub_line) - begin, p.level,
+             p.is_write);
+        if (piece == first) break;
+      }
+    }
+  };
+  for (;;) {
+    CacheLevel& cache = levels_[level];
+    // Fills and writebacks mostly hit the next level: finish those on the
+    // inline hit path. (Level 0 gets here after its probe already missed.)
+    if (level > 0 && cache.try_hit(addr, size, is_write)) {
+      if (!pop()) return;
+      continue;
+    }
+    const std::uint64_t line = cache.config().line_bytes;
+    const std::uint64_t la = addr & ~(line - 1);
+    const CacheLevel::AccessResult result = cache.access(la, is_write);
+    const std::size_t next = level + 1;
+    const bool below = next < levels_.size();
+    BoundaryTraffic& boundary = boundary_[next];
+    if (is_write) {
+      const bool through =
+          cache.config().write_policy == WritePolicy::kWriteThrough;
+      const bool bypass =
+          !result.hit && !result.filled;  // no-write-allocate miss
+      if (through || bypass) {
+        // Forward only the bytes of this access (they lie in this line).
+        boundary.bytes_from_cpu += size;
+        if (below) push(addr, size, next, /*w=*/true);
+      }
+    }
+    if (result.evicted_dirty) {
+      // Writeback of the victim line into the next level.
+      boundary.bytes_from_cpu += line;
+      if (below) push(result.evicted_line_addr, line, next, /*w=*/true);
+    }
+    if (result.filled) {
+      // Fill: pull the whole line from the next level.
+      boundary.bytes_toward_cpu += line;
+      if (below) {
+        if (levels_[next].config().line_bytes >= line) {
+          level = next;
+          addr = la;
+          size = line;
+          is_write = false;
+          continue;
+        }
+        push(la, line, next, /*w=*/false);
+      }
+    }
+    if (!pop()) return;
   }
 }
 

@@ -7,6 +7,17 @@
 //
 // Boundary numbering: boundary 0 is registers<->L1 (every program access),
 // boundary i is L(i)<->L(i+1), and the last boundary is last-cache<->memory.
+//
+// Hot path: load/store/load_run/store_run are inline. An access that lies
+// in one resident L1 line and needs nothing from L2 (a read, or a write to
+// a write-back L1) is finished by CacheLevel::try_hit without leaving the
+// caller; everything else -- a miss, a line-straddling range, a
+// write-through store -- takes the out-of-line path, which walks the
+// levels in a loop (fill, then writeback, then forwarded write, depth
+// first) rather than by recursion, finishing sub-accesses that hit a
+// lower level with the same inline check. Both paths update the same
+// counters in the same way, so which one an access takes never reaches an
+// observable.
 #pragma once
 
 #include <cstdint>
@@ -14,6 +25,7 @@
 #include <vector>
 
 #include "bwc/memsim/cache_level.h"
+#include "bwc/support/error.h"
 
 namespace bwc::memsim {
 
@@ -142,14 +154,68 @@ class MemoryHierarchy {
   void shift_state(std::int64_t shift_bytes);
 
  private:
-  void access(std::size_t level_index, std::uint64_t addr, std::uint64_t size,
-              bool is_write, bool descending = false);
+  /// True when L1 finished the access on its inline hit path.
+  bool l1_hit(std::uint64_t addr, std::uint64_t size, bool is_write) {
+    return !levels_.empty() && levels_[0].try_hit(addr, size, is_write);
+  }
+  /// Out-of-line path: every L1 line of [addr, addr+size) in stream order
+  /// (high-to-low with `descending`), each followed by what it causes in
+  /// the levels below.
+  void access(std::uint64_t addr, std::uint64_t size, bool is_write,
+              bool descending);
+  /// One access to `level` that lies in a single line of that level, then
+  /// the fills, writebacks and forwarded writes it causes further down.
+  void touch(std::size_t level, std::uint64_t addr, std::uint64_t size,
+             bool is_write);
+
+  /// A sub-access (fill, writeback or forwarded write) not yet issued.
+  struct Pending {
+    std::uint64_t addr;
+    std::uint64_t size;
+    std::size_t level;
+    bool is_write;
+  };
 
   std::vector<CacheLevel> levels_;
   std::vector<BoundaryTraffic> boundary_;
   std::uint64_t loads_ = 0;
   std::uint64_t stores_ = 0;
+  std::vector<Pending> pending_;  // touch()'s depth-first work stack
 };
+
+inline void MemoryHierarchy::load(std::uint64_t addr, std::uint64_t size) {
+  BWC_CHECK(size > 0, "load size must be positive");
+  ++loads_;
+  boundary_[0].bytes_toward_cpu += size;
+  if (l1_hit(addr, size, /*is_write=*/false)) return;
+  access(addr, size, /*is_write=*/false, /*descending=*/false);
+}
+
+inline void MemoryHierarchy::store(std::uint64_t addr, std::uint64_t size) {
+  BWC_CHECK(size > 0, "store size must be positive");
+  ++stores_;
+  boundary_[0].bytes_from_cpu += size;
+  if (l1_hit(addr, size, /*is_write=*/true)) return;
+  access(addr, size, /*is_write=*/true, /*descending=*/false);
+}
+
+inline void MemoryHierarchy::load_run(std::uint64_t addr, std::uint64_t size,
+                                      std::uint64_t count, bool descending) {
+  BWC_CHECK(size > 0 && count > 0, "run size and count must be positive");
+  loads_ += count;
+  boundary_[0].bytes_toward_cpu += size;
+  if (l1_hit(addr, size, /*is_write=*/false)) return;
+  access(addr, size, /*is_write=*/false, descending);
+}
+
+inline void MemoryHierarchy::store_run(std::uint64_t addr, std::uint64_t size,
+                                       std::uint64_t count, bool descending) {
+  BWC_CHECK(size > 0 && count > 0, "run size and count must be positive");
+  stores_ += count;
+  boundary_[0].bytes_from_cpu += size;
+  if (l1_hit(addr, size, /*is_write=*/true)) return;
+  access(addr, size, /*is_write=*/true, descending);
+}
 
 /// Pretty per-level summary (hits, misses, writebacks, boundary bytes).
 std::string describe(const MemoryHierarchy& h);

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <string>
 
+#include "bwc/server/frame.h"
 #include "bwc/server/protocol.h"
 
 namespace bwc::server {
@@ -36,7 +37,8 @@ class Client {
   /// Send raw bytes as-is (no framing) -- truncated/garbage frames.
   void send_bytes(const std::string& bytes);
 
-  /// Read one framed response payload (after send_bytes).
+  /// Read one framed response payload (after send_bytes). Bytes of later
+  /// frames that arrive in the same read stay buffered for the next call.
   std::string read_frame();
 
   int fd() const { return fd_; }
@@ -44,6 +46,7 @@ class Client {
  private:
   int fd_ = -1;
   std::int64_t timeout_ms_ = 30'000;
+  FrameReader reader_;  // persists across read_frame() calls
 };
 
 }  // namespace bwc::server

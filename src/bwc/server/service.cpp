@@ -356,6 +356,33 @@ std::vector<std::string> Service::tune_seed_specs() const {
   return specs;
 }
 
+/// Holds one cache key's flight (named by its fingerprint) for a
+/// request's cache-probe-or-compute section, waiting first while another
+/// request holds it.
+class Flight {
+ public:
+  Flight(Service& service, const std::string& key)
+      : service_(service), key_(key) {
+    std::unique_lock<std::mutex> lock(service_.flights_mu_);
+    service_.flights_cv_.wait(
+        lock, [&] { return service_.flights_.count(key_) == 0; });
+    service_.flights_.insert(key_);
+  }
+  Flight(const Flight&) = delete;
+  Flight& operator=(const Flight&) = delete;
+  ~Flight() {
+    {
+      const std::lock_guard<std::mutex> lock(service_.flights_mu_);
+      service_.flights_.erase(key_);
+    }
+    service_.flights_cv_.notify_all();
+  }
+
+ private:
+  Service& service_;
+  const std::string& key_;
+};
+
 Response Service::handle(const Request& request) {
   ++requests_;
   const std::int64_t t0 = now_us();
@@ -378,6 +405,7 @@ Response Service::handle(const Request& request) {
       try {
         const std::string key = cache_key_text(request);
         key_fp = CompileCache::fingerprint(key);
+        const Flight flight(*this, key_fp);
         CompileCache::Lookup lookup = cache_.get(key);
         if (lookup.hit) {
           response.cache_hit = true;
@@ -402,6 +430,7 @@ Response Service::handle(const Request& request) {
         const std::vector<std::string> seeds = tune_seed_specs();
         const std::string key = tune_cache_key_text(request, seeds);
         key_fp = CompileCache::fingerprint(key);
+        const Flight flight(*this, key_fp);
         CompileCache::Lookup lookup = cache_.get(key);
         if (lookup.hit) {
           response.cache_hit = true;

@@ -22,8 +22,11 @@
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -122,6 +125,15 @@ class Service {
   std::atomic<std::uint64_t> ok_{0};
   std::atomic<std::uint64_t> errors_{0};
   std::atomic<std::uint64_t> pipeline_runs_{0};
+  // Fingerprints of the cache keys a request is probing or computing
+  // right now. A second request for the same key waits its turn and then
+  // reads the first one's cached result, so concurrent repeats never run
+  // the pipeline twice (single flight).
+  std::mutex flights_mu_;
+  std::condition_variable flights_cv_;
+  std::set<std::string> flights_;
+
+  friend class Flight;
 };
 
 }  // namespace bwc::server

@@ -266,10 +266,14 @@ Report validate_storage_reduction(const ir::Program& pre,
   std::map<Location, LiveValue> open;  // current value per element
   std::vector<std::pair<std::size_t, std::int64_t>> deltas;  // (pos, +/-bytes)
   int initial = 0;
+  // A value is released at its last read, not after it: an instance reads
+  // before it writes, so a write at that same position (often the same
+  // element, `m[i] = m[i] * c`) may reuse the storage; the sort below puts
+  // releases before acquisitions at equal positions.
   auto close = [&](const LiveValue& v) {
     if (!v.read) return;  // dead value: occupies no replacement storage
     deltas.emplace_back(v.born, static_cast<std::int64_t>(v.bytes));
-    deltas.emplace_back(v.last_read + 1, -static_cast<std::int64_t>(v.bytes));
+    deltas.emplace_back(v.last_read, -static_cast<std::int64_t>(v.bytes));
   };
   for (std::size_t pos = 0; pos < ta.instances.size(); ++pos) {
     const Instance& inst = ta.instances[pos];

@@ -4,6 +4,9 @@
 // TSan CI regex so the failure paths run under TSan too.
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -312,6 +315,64 @@ TEST(ServerFault, ConnectionCapRejectsTheOverflowConnection) {
       << rejected.error;
   EXPECT_GE(daemon.counters().connections_rejected, 1u);
   daemon.stop();
+}
+
+TEST(ServerFault, ConcurrentRepeatsRunThePipelineOnce) {
+  // Four workers get the same request at once. The first to claim the
+  // key computes it; the others wait and are served its cached body.
+  TempDir cache_dir("single-flight");
+  ServiceOptions options;
+  options.cache_dir = cache_dir.path();
+  Service service(options);
+  const Request request = small_request();
+  std::vector<Response> responses(4);
+  std::vector<std::thread> workers;
+  for (Response& r : responses)
+    workers.emplace_back([&service, &request, &r] { r = service.handle(request); });
+  for (std::thread& t : workers) t.join();
+  for (const Response& r : responses) {
+    ASSERT_EQ(r.status, "ok") << r.error;
+    EXPECT_EQ(r.result_json, responses[0].result_json);
+  }
+  EXPECT_EQ(service.stats().pipeline_runs, 1u);
+  EXPECT_EQ(service.stats().cache_hits, 3u);
+}
+
+TEST(ServerFault, ClientKeepsFramesThatArriveInOneRead) {
+  // A peer that writes two response frames with one send: the client's
+  // first read takes in both, and the second frame must still be there
+  // for the next read_frame() instead of being dropped.
+  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  struct sockaddr_in addr = {};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<struct sockaddr*>(&addr),
+                   sizeof addr),
+            0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+  socklen_t len = sizeof addr;
+  ::getsockname(listener, reinterpret_cast<struct sockaddr*>(&addr), &len);
+  std::thread peer([listener] {
+    const int fd = ::accept(listener, nullptr, nullptr);
+    const std::string both = encode_frame("first") + encode_frame("second");
+    (void)::send(fd, both.data(), both.size(), 0);
+    char byte;
+    (void)::recv(fd, &byte, 1, 0);  // hold the connection until the end
+    ::close(fd);
+  });
+  std::string first, second;
+  try {
+    Client client("127.0.0.1", ntohs(addr.sin_port), /*timeout_ms=*/5'000);
+    first = client.read_frame();
+    second = client.read_frame();
+  } catch (const Error& e) {
+    ADD_FAILURE() << e.what();
+  }
+  peer.join();  // the client's close ends the peer's wait
+  ::close(listener);
+  EXPECT_EQ(first, "first");
+  EXPECT_EQ(second, "second");
 }
 
 }  // namespace

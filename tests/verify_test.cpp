@@ -459,6 +459,25 @@ TEST(Observability, RejectsShrinkingBelowPeakLiveSet) {
   EXPECT_TRUE(has_code(r, "storage-reduction-capacity")) << r.render();
 }
 
+TEST(Observability, InPlaceUpdateReusesItsOwnStorage) {
+  // random_program_2d seed 17 at n = 16: after fusion one instance reads
+  // m0[i,j] and overwrites it (m0[i,j] = m0[i,j]*0.75 + 0.1), so the old
+  // value dies where the new one is born. Contracting m0 to one scalar is
+  // correct; counting both values live at that instance once refused it
+  // (16 live bytes vs 8 replacement bytes).
+  Prng rng(17);
+  const Program p = workloads::random_program_2d(rng, 16);
+  const core::OptimizeResult result = core::optimize(p);
+  bool certified = false;
+  for (const auto& report : result.pipeline.passes) {
+    if (report.verify.check == "storage-reduction") {
+      EXPECT_TRUE(report.changed) << core::render_log(result);
+      certified = report.verify.ran && !report.verify.skipped;
+    }
+  }
+  EXPECT_TRUE(certified) << core::render_log(result);
+}
+
 TEST(Observability, RejectsReducingOutputArray) {
   Program pre("t");
   const ArrayId t = pre.add_array("t", {40});
