@@ -27,8 +27,7 @@ int main() {
   const machine::MachineModel machine = bench::o2k();
 
   core::OptimizerOptions fusion_only;
-  fusion_only.reduce_storage = false;
-  fusion_only.eliminate_stores = false;
+  fusion_only.passes = "fuse(solver=best)";
   const ir::Program fused = core::optimize(original, fusion_only).program;
   const ir::Program full = core::optimize(original).program;
   const ir::Program refissioned =

@@ -24,18 +24,17 @@ int main() {
 
   struct Variant {
     const char* name;
-    bool shift;
+    const char* passes;
   };
   TextTable t("Simulated Origin2000");
   t.set_header({"fusion", "partitions", "mem traffic", "predicted ms",
                 "speedup"});
   double base_time = 0.0;
   for (const Variant& variant :
-       {Variant{"plain (paper)", false}, Variant{"with alignment", true}}) {
+       {Variant{"plain (paper)", "fuse(solver=best)"},
+        Variant{"with alignment", "fuse(solver=best,shift=1)"}}) {
     core::OptimizerOptions opts;
-    opts.allow_shifted_fusion = variant.shift;
-    opts.reduce_storage = false;
-    opts.eliminate_stores = false;
+    opts.passes = variant.passes;
     const auto r = core::optimize(p, opts);
     const auto m = model::measure(r.program, machine);
     if (base_time == 0.0) base_time = m.time.total_s;

@@ -22,8 +22,7 @@ int main() {
   const ir::Program original = workloads::fig7_original(n);
 
   core::OptimizerOptions fusion_only;
-  fusion_only.reduce_storage = false;
-  fusion_only.eliminate_stores = false;
+  fusion_only.passes = "fuse(solver=best)";
   const ir::Program fused = core::optimize(original, fusion_only).program;
   const ir::Program eliminated = core::optimize(original).program;
 

@@ -9,57 +9,11 @@
 
 namespace bwc::core {
 
-namespace {
-
-const char* solver_name(FusionSolver solver) {
-  switch (solver) {
-    case FusionSolver::kBest: return "best";
-    case FusionSolver::kExact: return "exact";
-    case FusionSolver::kGreedy: return "greedy";
-    case FusionSolver::kBisection: return "bisection";
-    case FusionSolver::kEdgeWeighted: return "edge-weighted";
-    case FusionSolver::kNone: return "none";
-  }
-  return "best";
-}
-
-}  // namespace
-
-std::string default_pipeline(const OptimizerOptions& options) {
-  std::ostringstream os;
-  const char* sep = "";
-  if (options.auto_interchange) {
-    os << sep << "interchange";
-    sep = ",";
-  }
-  if (options.solver != FusionSolver::kNone) {
-    os << sep << "fuse(solver=" << solver_name(options.solver);
-    if (options.allow_shifted_fusion) os << ",shift=1";
-    os << ")";
-    sep = ",";
-  }
-  if (options.reduce_storage) {
-    os << sep << "reduce-storage";
-    sep = ",";
-  }
-  if (options.eliminate_stores) {
-    os << sep << "eliminate-stores";
-    sep = ",";
-  }
-  if (options.scalar_replacement) {
-    os << sep << "scalar-replace";
-    sep = ",";
-  }
-  return os.str();
-}
-
 OptimizeResult optimize(const ir::Program& program,
                         const OptimizerOptions& options) {
   BWC_CHECK(options.cores >= 1, "optimizer target core count must be >= 1");
 
-  const std::string spec_text =
-      options.passes.empty() ? default_pipeline(options) : options.passes;
-  const pass::PipelineSpec spec = pass::parse_pipeline_spec(spec_text);
+  const pass::PipelineSpec spec = pass::parse_pipeline_spec(options.passes);
 
   pass::PipelineOptions pipeline_options;
   pipeline_options.verify = options.verify;

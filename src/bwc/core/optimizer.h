@@ -1,20 +1,19 @@
-// core::optimize -- the paper's compiler strategy as one entry point, now
-// a thin wrapper over the bwc::pass pipeline machinery.
+// core::optimize -- the paper's compiler strategy as one entry point, a
+// thin wrapper over the bwc::pass pipeline machinery.
 //
-// The option struct maps to a PipelineSpec (default_pipeline): bandwidth-
-// minimal loop fusion organizes the global computation to minimize total
-// memory transfer (paper Section 3), storage reduction shrinks localized
-// arrays, store elimination removes writebacks to arrays whose uses
-// complete inside the fused loop; interchange and scalar replacement are
-// opt-in satellites. Callers wanting a non-default ordering set
-// OptimizerOptions::passes to a spec string ("interchange,fuse(solver=
-// exact),reduce-storage") -- see docs/PIPELINE.md for the grammar, the
-// pass catalogue, and the PassReport/remark schema. Per-pass facts
-// (timing, IR deltas, predicted traffic deltas, verifier outcomes,
+// The pipeline is data: OptimizerOptions::passes is a PipelineSpec string
+// and the only way to choose passes. It defaults to kDefaultPipeline --
+// bandwidth-minimal loop fusion organizes the global computation to
+// minimize total memory transfer (paper Section 3), storage reduction
+// shrinks localized arrays, store elimination removes writebacks to
+// arrays whose uses complete inside the fused loop. Interchange, shifted
+// fusion, scalar replacement and the layout passes are opt-in by naming
+// them ("interchange,fuse(solver=exact,shift=1),reduce-storage"); the
+// empty string is the empty pipeline. See docs/PIPELINE.md for the
+// grammar, the pass catalogue, and the PassReport/remark schema. Per-pass
+// facts (timing, IR deltas, predicted traffic deltas, verifier outcomes,
 // machine-readable remarks) live in OptimizeResult::pipeline; the
-// human-readable log lines of the old free-form interface are derived
-// from it by log_lines()/render_log, byte-identical to the pre-pass-
-// manager output.
+// human-readable log lines are derived from it by log_lines()/render_log.
 #pragma once
 
 #include <cstdint>
@@ -30,35 +29,14 @@
 
 namespace bwc::core {
 
-enum class FusionSolver {
-  kBest,          // exact when small, best heuristic otherwise
-  kExact,         // exact enumeration (throws beyond 12 loops)
-  kGreedy,
-  kBisection,     // recursive min-cut bisection
-  kEdgeWeighted,  // prior-work baseline objective
-  kNone,          // skip fusion
-};
+/// The paper's pipeline: what optimize() runs unless told otherwise.
+inline constexpr const char* kDefaultPipeline =
+    "fuse(solver=best),reduce-storage,eliminate-stores";
 
 struct OptimizerOptions {
-  /// Explicit pipeline spec ("fuse(solver=exact),reduce-storage", see
-  /// docs/PIPELINE.md). When empty, the pipeline is derived from the
-  /// flags below by default_pipeline(); when set, it wins and the
-  /// per-pass flags (solver, reduce_storage, ...) are ignored.
-  std::string passes;
-  FusionSolver solver = FusionSolver::kBest;
-  bool reduce_storage = true;
-  bool eliminate_stores = true;
-  /// Fusion with alignment: allow fusing loops separated by a bounded
-  /// forward dependence distance by delaying the consumer (kShifted).
-  bool allow_shifted_fusion = false;
-  /// Run the loop-interchange heuristic before fusion: 2-deep nests that
-  /// traverse column-major data row-by-row are swapped to stride-1 order
-  /// when legal.
-  bool auto_interchange = false;
-  /// After the bandwidth passes, keep stencil-reused array elements in
-  /// rotating scalars (Callahan-Cocke-Kennedy register reuse): reduces
-  /// register<->L1 traffic, the paper's second most critical resource.
-  bool scalar_replacement = false;
+  /// The pipeline spec to run ("fuse(solver=exact),reduce-storage", see
+  /// docs/PIPELINE.md), exactly as given: "" is the empty pipeline.
+  std::string passes = kDefaultPipeline;
   /// Re-check every pass's output with the independent verifier
   /// (bwc::verify): structural validation throughout, translation
   /// validation for the scheduling passes (interchange, fusion),
@@ -108,10 +86,6 @@ struct OptimizeResult {
   /// free-form `log` vector.
   std::vector<std::string> log_lines() const;
 };
-
-/// The PipelineSpec string the given options denote -- what optimize()
-/// runs when options.passes is empty.
-std::string default_pipeline(const OptimizerOptions& options = {});
 
 /// Run the bandwidth-reduction pipeline on a program.
 OptimizeResult optimize(const ir::Program& program,

@@ -49,8 +49,10 @@ struct Request {
   Op op = Op::kOptimize;
   /// IR program in the printer's text format (ir/parser.h).
   std::string program;
-  /// PipelineSpec string; empty runs the default pipeline. Rejected for
-  /// op "tune" (tune searches pipelines instead of accepting one).
+  /// PipelineSpec string, run as given; empty (absent on the wire) runs
+  /// core::kDefaultPipeline, so a blank spec such as " " runs no pass.
+  /// Rejected for op "tune" (tune searches pipelines instead of accepting
+  /// one).
   std::string pipeline;
   /// Tune-only knobs (rejected on other ops): search strategy, the
   /// certificate gap tolerance in percent, the evaluation budget

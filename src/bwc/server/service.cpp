@@ -37,7 +37,7 @@ std::uint64_t unix_micros() {
 /// Canonical pipeline spec for a request: the explicit spec re-rendered
 /// through the parser, or the default pipeline. Throws on a bad spec.
 std::string canonical_pipeline(const Request& request) {
-  if (request.pipeline.empty()) return core::default_pipeline();
+  if (request.pipeline.empty()) return core::kDefaultPipeline;
   return pass::parse_pipeline_spec(request.pipeline).to_string();
 }
 

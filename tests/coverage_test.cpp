@@ -226,10 +226,11 @@ TEST_P(TwoDFuzz, OptimizerPreservesSemantics) {
         rng, 8 + static_cast<std::int64_t>(rng.uniform(10)),
         1 + static_cast<int>(rng.uniform(3)));
     const double base = runtime::execute(p).checksum;
-    for (auto solver :
-         {core::FusionSolver::kBest, core::FusionSolver::kGreedy}) {
+    for (const char* spec :
+         {core::kDefaultPipeline,
+          "fuse(solver=greedy),reduce-storage,eliminate-stores"}) {
       core::OptimizerOptions opts;
-      opts.solver = solver;
+      opts.passes = spec;
       const auto r = core::optimize(p, opts);
       const double after = runtime::execute(r.program).checksum;
       ASSERT_NEAR(base, after, 1e-9 * (std::abs(base) + 1.0))

@@ -180,19 +180,17 @@ double run_parallel_with_bound_check(const Program& p, int cores,
 
 TEST_P(PipelineSweep, RandomProgramsVerifiedAndChecksumPreserved) {
   const auto& [solver_index, mask] = GetParam();
-  const core::FusionSolver solvers[] = {
-      core::FusionSolver::kBest, core::FusionSolver::kExact,
-      core::FusionSolver::kGreedy, core::FusionSolver::kBisection,
-      core::FusionSolver::kEdgeWeighted};
+  const char* solvers[] = {"best", "exact", "greedy", "bisection",
+                           "edge-weighted"};
   // Core count varies with the parameter point but is deterministic, so
   // every pipeline combination eventually meets every core count.
   const int core_choices[] = {1, 2, 4, 8};
   core::OptimizerOptions opts;
-  opts.solver = solvers[solver_index];
-  opts.allow_shifted_fusion = (mask & 1) != 0;
-  opts.auto_interchange = (mask & 2) != 0;
-  opts.reduce_storage = (mask & 4) != 0;
-  opts.eliminate_stores = (mask & 8) != 0;
+  opts.passes = std::string((mask & 2) != 0 ? "interchange," : "") +
+                "fuse(solver=" + solvers[solver_index] +
+                ((mask & 1) != 0 ? ",shift=1)" : ")") +
+                ((mask & 4) != 0 ? ",reduce-storage" : "") +
+                ((mask & 8) != 0 ? ",eliminate-stores" : "");
   opts.verify = true;
   for (std::uint64_t seed = 1; seed <= 2; ++seed) {
     const int cores =

@@ -149,8 +149,7 @@ TEST(Distribute, UndoesFusion) {
   // returns (the fused loop splits back apart), and traffic rises.
   const Program p = workloads::blur_sharpen(100000);
   core::OptimizerOptions fusion_only;
-  fusion_only.reduce_storage = false;
-  fusion_only.eliminate_stores = false;
+  fusion_only.passes = "fuse(solver=best)";
   const Program fused = core::optimize(p, fusion_only).program;
   EXPECT_EQ(fused.top_loop_indices().size(), 1u);
   const DistributionResult r = distribute_loops(fused);
@@ -191,8 +190,7 @@ TEST(Distribute, RandomProgramsPreserveSemantics) {
 TEST(Distribute, GuardedFusedProgramsSurvive) {
   const Program p = workloads::fig6_original(16);
   core::OptimizerOptions fusion_only;
-  fusion_only.reduce_storage = false;
-  fusion_only.eliminate_stores = false;
+  fusion_only.passes = "fuse(solver=best)";
   const Program fused = core::optimize(p, fusion_only).program;
   const DistributionResult r = distribute_loops(fused);
   expect_preserved(p, r.program);

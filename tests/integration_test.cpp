@@ -129,8 +129,7 @@ TEST(Integration, Fig8StoreEliminationStacksToTwoX) {
   const ir::Program original = workloads::fig7_original(150000);
 
   core::OptimizerOptions fusion_only;
-  fusion_only.reduce_storage = false;
-  fusion_only.eliminate_stores = false;
+  fusion_only.passes = "fuse(solver=best)";
   const auto fused = core::optimize(original, fusion_only);
   const auto full = core::optimize(original);
 

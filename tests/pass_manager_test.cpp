@@ -173,13 +173,26 @@ void expect_matches_hand_calls(const Program& original,
 }
 
 TEST(PassOrdering, DefaultPipelineOnPaperWorkloads) {
-  const core::OptimizerOptions defaults;
-  const std::string spec = core::default_pipeline(defaults);
+  const std::string spec = core::OptimizerOptions{}.passes;
   EXPECT_EQ(spec, "fuse(solver=best),reduce-storage,eliminate-stores");
   expect_matches_hand_calls(workloads::fig7_original(128), spec);
   expect_matches_hand_calls(workloads::fig6_original(24), spec);
   expect_matches_hand_calls(workloads::sec21_both_loops(128), spec);
   expect_matches_hand_calls(workloads::blur_sharpen(64), spec);
+}
+
+TEST(PassOrdering, EmptySpecRunsNoPass) {
+  // "" is the empty pipeline (docs/PIPELINE.md), not a request for the
+  // default one.
+  for (const char* spec : {"", " "}) {
+    const Program p = workloads::fig7_original(64);
+    core::OptimizerOptions opts;
+    opts.passes = spec;
+    const core::OptimizeResult result = core::optimize(p, opts);
+    EXPECT_TRUE(result.pipeline.passes.empty()) << '"' << spec << '"';
+    EXPECT_TRUE(result.log_lines().empty()) << '"' << spec << '"';
+    EXPECT_TRUE(ir::equal(p, result.program)) << '"' << spec << '"';
+  }
 }
 
 TEST(PassOrdering, NonDefaultOrderings) {
@@ -302,9 +315,6 @@ TEST(AnalysisCache, AuditAcceptsDeclaredInvalidation) {
 }
 
 TEST(AnalysisCache, AuditAcceptsTheDefaultPipeline) {
-  core::OptimizerOptions opts;
-  opts.auto_interchange = true;
-  opts.scalar_replacement = true;
   PipelineOptions options;
   options.audit_analyses = true;
   PassManager manager(options);
@@ -432,7 +442,8 @@ TEST(LegacyLog, MulticorePreludeLineIsPreserved) {
 
 TEST(LegacyLog, NotesNeverAppearInRenderLog) {
   core::OptimizerOptions opts;
-  opts.auto_interchange = true;  // no candidates in fig7: note-only pass
+  // No interchange candidates in fig7: a note-only pass.
+  opts.passes = "interchange,fuse(solver=best),reduce-storage,eliminate-stores";
   const core::OptimizeResult result =
       core::optimize(workloads::fig7_original(64), opts);
   for (const auto& line : result.log_lines())

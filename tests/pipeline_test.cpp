@@ -81,10 +81,10 @@ TEST(AdiLike, ChecksumFusesWithColumnSweep) {
 
 TEST(AdiLike, FullPipelineSemantics) {
   const ir::Program p = workloads::adi_like(20);
-  for (auto solver : {core::FusionSolver::kBest, core::FusionSolver::kGreedy,
-                      core::FusionSolver::kBisection}) {
+  for (const char* solver : {"best", "greedy", "bisection"}) {
     core::OptimizerOptions opts;
-    opts.solver = solver;
+    opts.passes = std::string("fuse(solver=") + solver +
+                  "),reduce-storage,eliminate-stores";
     expect_preserved(p, core::optimize(p, opts).program);
   }
 }

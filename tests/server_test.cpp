@@ -555,6 +555,21 @@ TEST(ServerService, CacheKeyCanonicalizesSpelling) {
   EXPECT_NE(service.cache_key_text(a), service.cache_key_text(g));
 }
 
+TEST(ServerService, BlankPipelineRunsNoPass) {
+  // A present but blank spec is the empty pipeline; only an absent one
+  // means the default. The label, the reports and the program must agree.
+  Request request = small_request();
+  request.pipeline = " ";
+  request.measure = false;
+  const JsonValue v = parse_json(Service::compute_result_body(request));
+  ASSERT_NE(v.find("pipeline"), nullptr);
+  EXPECT_EQ(v.find("pipeline")->as_string(), "");
+  ASSERT_NE(v.find("passes"), nullptr);
+  EXPECT_TRUE(v.find("passes")->items().empty());
+  ASSERT_NE(v.find("optimized"), nullptr);
+  EXPECT_EQ(v.find("optimized")->as_string(), v.find("program")->as_string());
+}
+
 TEST(ServerService, InvalidProgramBecomesStructuredError) {
   Service service(ServiceOptions{});
   Request request;

@@ -118,10 +118,9 @@ TEST(ShiftedFusion, JacobiChainFusesCompletely) {
 TEST(ShiftedFusion, JacobiTrafficDrops) {
   const ir::Program p = workloads::jacobi_chain(100000, 4);
   core::OptimizerOptions base;
-  base.reduce_storage = false;
-  base.eliminate_stores = false;
-  core::OptimizerOptions aligned = base;
-  aligned.allow_shifted_fusion = true;
+  base.passes = "fuse(solver=best)";
+  core::OptimizerOptions aligned;
+  aligned.passes = "fuse(solver=best,shift=1)";
 
   const auto machine = machine::origin2000_r10k().scaled(16);
   const auto plain = model::measure(core::optimize(p, base).program, machine);
@@ -170,7 +169,7 @@ TEST(ShiftedFusion, RandomProgramsPreserveSemantics) {
     params.n = 48;
     const ir::Program p = workloads::random_program(rng, params);
     core::OptimizerOptions opts;
-    opts.allow_shifted_fusion = true;
+    opts.passes = "fuse(solver=best,shift=1),reduce-storage,eliminate-stores";
     const auto r = core::optimize(p, opts);
     expect_preserved(p, r.program);
   }
@@ -181,7 +180,7 @@ TEST(ShiftedFusion, OptimizerOptionOffMatchesBaseline) {
   const auto plain = core::optimize(p);
   EXPECT_EQ(plain.plan.num_partitions, 2);  // preventing without alignment
   core::OptimizerOptions opts;
-  opts.allow_shifted_fusion = true;
+  opts.passes = "fuse(solver=best,shift=1),reduce-storage,eliminate-stores";
   const auto aligned = core::optimize(p, opts);
   EXPECT_EQ(aligned.plan.num_partitions, 1);
 }

@@ -335,10 +335,10 @@ TEST(Optimizer, RandomProgramsEndToEnd) {
     params.num_arrays = 2 + static_cast<int>(rng.uniform(4));
     params.n = 24;
     const Program p = workloads::random_program(rng, params);
-    for (auto solver : {core::FusionSolver::kBest, core::FusionSolver::kGreedy,
-                        core::FusionSolver::kEdgeWeighted}) {
+    for (const char* solver : {"best", "greedy", "edge-weighted"}) {
       core::OptimizerOptions opts;
-      opts.solver = solver;
+      opts.passes = std::string("fuse(solver=") + solver +
+                    "),reduce-storage,eliminate-stores";
       const core::OptimizeResult r = core::optimize(p, opts);
       expect_same_semantics(p, r.program);
     }
@@ -348,9 +348,7 @@ TEST(Optimizer, RandomProgramsEndToEnd) {
 TEST(Optimizer, PassesCanBeDisabled) {
   const Program p = workloads::fig7_original(32);
   core::OptimizerOptions opts;
-  opts.solver = core::FusionSolver::kNone;
-  opts.reduce_storage = false;
-  opts.eliminate_stores = false;
+  opts.passes = "";
   const core::OptimizeResult r = core::optimize(p, opts);
   EXPECT_TRUE(ir::equal(p, r.program));
 }

@@ -125,36 +125,27 @@ TEST(Structure, RejectsUndeclaredScalarAndInvalidSlot) {
 // Translation validation: acceptance
 // ---------------------------------------------------------------------------
 
-core::FusionSolver kAllSolvers[] = {
-    core::FusionSolver::kBest, core::FusionSolver::kExact,
-    core::FusionSolver::kGreedy, core::FusionSolver::kBisection,
-    core::FusionSolver::kEdgeWeighted};
+const struct {
+  const char* name;
+  fusion::FusionPlan (*solve)(const fusion::FusionGraph&);
+} kAllSolvers[] = {
+    {"best", fusion::best_fusion},
+    {"exact",
+     [](const fusion::FusionGraph& g) { return fusion::exact_enumeration(g); }},
+    {"greedy", fusion::greedy_fusion},
+    {"bisection", fusion::recursive_bisection},
+    {"edge-weighted", fusion::edge_weighted_baseline}};
 
 TEST(Translation, CertifiesFusionAcrossWorkloadsAndSolvers) {
   for (const auto& [name, p] : small_workloads()) {
-    for (const core::FusionSolver solver : kAllSolvers) {
+    for (const auto& solver : kAllSolvers) {
       const fusion::FusionGraph g = fusion::build_fusion_graph(p);
-      fusion::FusionPlan plan;
-      switch (solver) {
-        case core::FusionSolver::kBest: plan = fusion::best_fusion(g); break;
-        case core::FusionSolver::kExact:
-          plan = fusion::exact_enumeration(g);
-          break;
-        case core::FusionSolver::kGreedy:
-          plan = fusion::greedy_fusion(g);
-          break;
-        case core::FusionSolver::kBisection:
-          plan = fusion::recursive_bisection(g);
-          break;
-        case core::FusionSolver::kEdgeWeighted:
-          plan = fusion::edge_weighted_baseline(g);
-          break;
-        case core::FusionSolver::kNone: continue;
-      }
+      const fusion::FusionPlan plan = solver.solve(g);
       const Program fused = transform::apply_fusion(p, g, plan);
       const verify::Report r = verify::validate_translation(p, fused);
       EXPECT_TRUE(r.ok() && !r.skipped)
-          << name << " via " << plan.solver << ":\n" << r.render();
+          << name << " via " << solver.name << " (" << plan.solver
+          << "):\n" << r.render();
     }
   }
 }
@@ -501,9 +492,9 @@ TEST(Observability, RejectsReducingOutputArray) {
 
 TEST(Pipeline, VerifierCertifiesEveryPass) {
   core::OptimizerOptions opts;
-  opts.allow_shifted_fusion = true;
-  opts.auto_interchange = true;
-  opts.scalar_replacement = true;
+  opts.passes =
+      "interchange,fuse(solver=best,shift=1),reduce-storage,eliminate-stores,"
+      "scalar-replace";
   const core::OptimizeResult result =
       core::optimize(workloads::blur_sharpen(256), opts);
   int verified_passes = 0;
@@ -564,8 +555,8 @@ void expect_bound_holds(const std::string& name, const Program& p,
 TEST(TrafficBound, HoldsOnAllWorkloadsOriginalAndOptimized) {
   const machine::MachineModel machine = machine::origin2000_r10k().scaled(16);
   core::OptimizerOptions opts;
-  opts.allow_shifted_fusion = true;
-  opts.auto_interchange = true;
+  opts.passes =
+      "interchange,fuse(solver=best,shift=1),reduce-storage,eliminate-stores";
   for (const auto& [name, p] : small_workloads()) {
     expect_bound_holds(name, p, machine);
     const core::OptimizeResult result = core::optimize(p, opts);
@@ -576,7 +567,7 @@ TEST(TrafficBound, HoldsOnAllWorkloadsOriginalAndOptimized) {
 TEST(TrafficBound, HoldsOnRandomPrograms) {
   const machine::MachineModel machine = machine::origin2000_r10k().scaled(16);
   core::OptimizerOptions opts;
-  opts.allow_shifted_fusion = true;
+  opts.passes = "fuse(solver=best,shift=1),reduce-storage,eliminate-stores";
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     Prng rng(seed);
     const Program p = workloads::random_program(rng);

@@ -21,6 +21,7 @@
 #include "bwc/machine/machine_model.h"
 #include "bwc/model/measure.h"
 #include "bwc/model/prediction.h"
+#include "bwc/pass/passes.h"
 #include "bwc/server/client.h"
 #include "bwc/server/protocol.h"
 #include "bwc/server/record_log.h"
@@ -47,14 +48,7 @@ struct Options {
   std::string engine = "compiled";
   bool fast_forward = true;
   std::string codegen_cache_dir;
-  std::string passes;
-  std::string solver = "best";
-  bool storage = true;
-  bool stores = true;
-  bool regroup = false;
-  bool shift = false;
-  bool interchange = false;
-  bool scalar_replace = false;
+  std::string passes = core::kDefaultPipeline;
   std::uint64_t seed = 1;
   bool print = false;
   bool print_after_all = false;
@@ -136,28 +130,15 @@ const Flag kFlags[] = {
      [](Options& o, const std::string&) { o.fast_forward = false; }},
     // Pipeline selection.
     {"--passes", "<spec>",
-     "explicit pass pipeline, e.g. "
-     "\"interchange,fuse(solver=exact),reduce-storage,eliminate-stores\" "
-     "(grammar in docs/PIPELINE.md); overrides --solver, --no-storage, "
-     "--no-stores, --shift, --interchange and --scalar-replace",
+     "pass pipeline to run, exactly as given (grammar in docs/PIPELINE.md; "
+     "default \"fuse(solver=best),reduce-storage,eliminate-stores\"; "
+     "\"\" runs no pass). Edits of the default that replace the removed "
+     "per-pass flags: --solver X: fuse(solver=X); --solver none: drop "
+     "fuse(...); --no-storage: drop reduce-storage; --no-stores: drop "
+     "eliminate-stores; --shift: fuse(solver=best,shift=1); --interchange: "
+     "prepend interchange; --scalar-replace: append scalar-replace; "
+     "--regroup: append regroup",
      [](Options& o, const std::string& v) { o.passes = v; }},
-    {"--solver", "<best|exact|greedy|bisection|edge-weighted|none>",
-     "fusion solver (default best; none skips fusion)",
-     [](Options& o, const std::string& v) { o.solver = v; }},
-    {"--no-storage", "", "disable the storage-reduction pass",
-     [](Options& o, const std::string&) { o.storage = false; }},
-    {"--no-stores", "", "disable the store-elimination pass",
-     [](Options& o, const std::string&) { o.stores = false; }},
-    {"--regroup", "", "also run inter-array regrouping (appends the "
-     "regroup pass to the pipeline)",
-     [](Options& o, const std::string&) { o.regroup = true; }},
-    {"--shift", "", "allow fusion with loop alignment (bounded shifts)",
-     [](Options& o, const std::string&) { o.shift = true; }},
-    {"--interchange", "", "run stride-1 loop interchange before fusion",
-     [](Options& o, const std::string&) { o.interchange = true; }},
-    {"--scalar-replace", "", "rotating-scalar register reuse after the "
-     "bandwidth passes",
-     [](Options& o, const std::string&) { o.scalar_replace = true; }},
     // Verification and reporting.
     {"--verify", "",
      "print the static traffic lower-bound report and assert bound <= "
@@ -273,6 +254,13 @@ void print_help(std::ostream& os) {
   std::exit(2);
 }
 
+model::ExecEngine make_engine(const std::string& name) {
+  if (name == "compiled") return model::ExecEngine::kCompiled;
+  if (name == "reference") return model::ExecEngine::kReference;
+  if (name == "native") return model::ExecEngine::kNative;
+  throw Error("unknown engine: " + name);
+}
+
 Options parse(int argc, char** argv) {
   Options o;
   for (int i = 1; i < argc; ++i) {
@@ -329,17 +317,19 @@ Options parse(int argc, char** argv) {
     usage_error("unknown static-verify mode: " + o.static_verify +
                 " (supported: on, off, only)");
   if (o.cores < 1) usage_error("--cores must be >= 1");
-  if (o.tune) {
-    try {
-      tune::parse_strategy(o.tune_strategy);
-      tune::parse_budget(o.tune_budget);
-    } catch (const Error& e) {
-      usage_error(e.what());
-    }
-    if (!(o.tune_gap >= 0.0 && o.tune_gap <= 1000.0))
-      usage_error("--tune-gap must be in [0, 1000]");
-    if (o.lint) usage_error("--tune and --lint are mutually exclusive");
+  // Every value is checked here, before any work, whether or not the
+  // mode that reads it is on.
+  try {
+    make_engine(o.engine);
+    pass::build_pipeline(pass::parse_pipeline_spec(o.passes));
+    tune::parse_strategy(o.tune_strategy);
+    tune::parse_budget(o.tune_budget);
+  } catch (const Error& e) {
+    usage_error(e.what());
   }
+  if (!(o.tune_gap >= 0.0 && o.tune_gap <= 1000.0))
+    usage_error("--tune-gap must be in [0, 1000]");
+  if (o.tune && o.lint) usage_error("--tune and --lint are mutually exclusive");
   return o;
 }
 
@@ -387,34 +377,6 @@ machine::MachineModel make_machine(const Options& o) {
     throw Error("unknown machine: " + o.machine);
   }
   return m.scaled(o.scale).with_cores(o.cores);
-}
-
-model::ExecEngine make_engine(const std::string& name) {
-  if (name == "compiled") return model::ExecEngine::kCompiled;
-  if (name == "reference") return model::ExecEngine::kReference;
-  if (name == "native") return model::ExecEngine::kNative;
-  throw Error("unknown engine: " + name);
-}
-
-core::FusionSolver make_solver(const std::string& name) {
-  if (name == "best") return core::FusionSolver::kBest;
-  if (name == "exact") return core::FusionSolver::kExact;
-  if (name == "greedy") return core::FusionSolver::kGreedy;
-  if (name == "bisection") return core::FusionSolver::kBisection;
-  if (name == "edge-weighted") return core::FusionSolver::kEdgeWeighted;
-  if (name == "none") return core::FusionSolver::kNone;
-  throw Error("unknown solver: " + name);
-}
-
-/// The PipelineSpec string this invocation runs: --passes verbatim, else
-/// the default pipeline of the per-pass flags; --regroup appends the
-/// regroup pass either way.
-std::string effective_pipeline(const Options& o,
-                               const core::OptimizerOptions& opts) {
-  std::string spec = o.passes.empty() ? core::default_pipeline(opts)
-                                      : o.passes;
-  if (o.regroup) spec += (spec.empty() ? "regroup" : ",regroup");
-  return spec;
 }
 
 // ---- autotune mode: search the pipeline space for the workload ----
@@ -716,12 +678,6 @@ int main(int argc, char** argv) {
     if (o.tune) return run_tune(o, original);
 
     core::OptimizerOptions opts;
-    opts.solver = make_solver(o.solver);
-    opts.reduce_storage = o.storage;
-    opts.eliminate_stores = o.stores;
-    opts.allow_shifted_fusion = o.shift;
-    opts.auto_interchange = o.interchange;
-    opts.scalar_replacement = o.scalar_replace;
     opts.verify = o.verify_pipeline;
     opts.static_verify = o.static_verify == "off"
                              ? pass::StaticVerifyMode::kOff
@@ -731,7 +687,7 @@ int main(int argc, char** argv) {
     opts.cache_analyses = o.cache_analyses;
     opts.audit_analyses = o.audit_analyses;
     opts.cores = o.cores;
-    opts.passes = o.lint ? "lint" : effective_pipeline(o, opts);
+    opts.passes = o.lint ? "lint" : o.passes;
     if (o.print_after_all) {
       opts.print_after = [](const pass::Pass& pass,
                             const ir::Program& program) {
