@@ -1,5 +1,6 @@
 #include "bwc/pass/passes.h"
 
+#include <map>
 #include <sstream>
 #include <utility>
 
@@ -11,7 +12,6 @@
 #include "bwc/transform/fuse.h"
 #include "bwc/transform/interchange.h"
 #include "bwc/transform/layout.h"
-#include "bwc/transform/regrouping.h"
 #include "bwc/transform/scalar_replacement.h"
 #include "bwc/transform/storage_reduction.h"
 #include "bwc/transform/store_elimination.h"
@@ -99,14 +99,24 @@ FusePass::FusePass(Options options) : options_(std::move(options)) {}
 
 namespace {
 
-fusion::FusionPlan solve(const std::string& solver,
-                         const fusion::FusionGraph& graph) {
-  if (solver == "best") return fusion::best_fusion(graph);
-  if (solver == "exact") return fusion::exact_enumeration(graph);
-  if (solver == "greedy") return fusion::greedy_fusion(graph);
-  if (solver == "bisection") return fusion::recursive_bisection(graph);
-  if (solver == "edge-weighted") return fusion::edge_weighted_baseline(graph);
-  throw Error("unknown fusion solver: " + solver);
+using Solver = fusion::FusionPlan (*)(const fusion::FusionGraph&);
+
+/// The fusion solver named by `solver=`: the one table that both
+/// create_fuse's parameter check and FusePass::run's dispatch read.
+Solver fusion_solver(const std::string& name) {
+  static const std::map<std::string, Solver> kSolvers = {
+      {"best", fusion::best_fusion},
+      {"exact",
+       [](const fusion::FusionGraph& g) {
+         return fusion::exact_enumeration(g);
+       }},
+      {"greedy", fusion::greedy_fusion},
+      {"bisection", fusion::recursive_bisection},
+      {"edge-weighted", fusion::edge_weighted_baseline},
+  };
+  const auto it = kSolvers.find(name);
+  if (it == kSolvers.end()) throw Error("unknown fusion solver: " + name);
+  return it->second;
 }
 
 }  // namespace
@@ -117,7 +127,7 @@ PassResult FusePass::run(ir::Program& program, AnalysisManager& am,
   graph_options.allow_shifted_fusion = options_.allow_shifted_fusion;
   graph_options.max_shift = options_.max_shift;
   const fusion::FusionGraph& graph = am.fusion_graph(program, graph_options);
-  plan_ = solve(options_.solver, graph);
+  plan_ = fusion_solver(options_.solver)(graph);
   const fusion::FusionPlan unfused = fusion::no_fusion(graph);
 
   PassResult pr;
@@ -254,26 +264,6 @@ PassResult ScalarReplacePass::run(ir::Program& program, AnalysisManager& am,
               std::to_string(result.loads_removed) +
                   " static load(s) removed per iteration",
               {{"loads_removed", std::to_string(result.loads_removed)}});
-  program = std::move(result.program);
-  pr.changed = true;
-  return pr;
-}
-
-// ---------------------------------------------------------------------------
-// regroup
-
-PassResult RegroupPass::run(ir::Program& program, AnalysisManager& am,
-                            PassReport& report) {
-  (void)am;  // candidate detection does its own co-access scan
-  transform::RegroupingResult result = transform::regroup_all(program);
-  PassResult pr;
-  if (result.actions.empty()) {
-    report.note("regroup-no-candidates",
-                "no arrays are always accessed together");
-    return pr;
-  }
-  for (const auto& action : result.actions)
-    report.applied("regrouped", "regrouping: " + action);
   program = std::move(result.program);
   pr.changed = true;
   return pr;
@@ -425,10 +415,7 @@ std::unique_ptr<Pass> create_fuse(const PassSpec& spec) {
   FusePass::Options options;
   for (const auto& [key, value] : spec.params) {
     if (key == "solver") {
-      if (value != "best" && value != "exact" && value != "greedy" &&
-          value != "bisection" && value != "edge-weighted") {
-        throw Error("unknown fusion solver: " + value);
-      }
+      fusion_solver(value);  // throws on an unknown name
       options.solver = value;
     } else if (key == "shift") {
       if (value != "0" && value != "1")
@@ -468,10 +455,6 @@ std::unique_ptr<Pass> create_pass(const PassSpec& spec) {
   if (spec.name == "scalar-replace") {
     expect_no_params(spec);
     return std::make_unique<ScalarReplacePass>();
-  }
-  if (spec.name == "regroup") {
-    expect_no_params(spec);
-    return std::make_unique<RegroupPass>();
   }
   if (spec.name == "distribute") {
     expect_no_params(spec);

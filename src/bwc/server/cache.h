@@ -1,7 +1,7 @@
 // Persistent content-addressed compile cache for the bwcd service.
 //
 // Key material is the canonical text of everything that determines an
-// optimize result (service.cpp: protocol version, canonical program,
+// optimize result (service.cpp: key format tag, canonical program,
 // canonical pipeline spec, machine preset, cores, scale, measure flag);
 // the value is the deterministic `result` JSON. Layout under the cache
 // directory, following the codegen object cache's discipline

@@ -34,6 +34,14 @@ std::uint64_t unix_micros() {
           .count());
 }
 
+/// Format tag of both cache key texts, separate from the wire schema
+/// (kSchemaName). Bump it whenever a stored result can go stale under an
+/// unchanged key text -- a pass removed or renamed, the tuner's search
+/// reordered -- so entries an older daemon published are never served.
+/// v2: the legacy regroup pass is gone and the tuner scores every
+/// single-pass pipeline before random edits.
+constexpr int kCacheKeyVersion = 2;
+
 /// Canonical pipeline spec for a request: the explicit spec re-rendered
 /// through the parser, or the default pipeline. Throws on a bad spec.
 std::string canonical_pipeline(const Request& request) {
@@ -144,7 +152,7 @@ std::string Service::cache_key_text(const Request& request) const {
   const ir::Program program = ir::parse_program(request.program);
   const std::string canonical_text = ir::to_string(program);
   const std::string spec = canonical_pipeline(request);
-  std::string key = "bwcd-key-v" + std::to_string(kProtocolVersion) + "\n";
+  std::string key = "bwcd-key-v" + std::to_string(kCacheKeyVersion) + "\n";
   key += "machine=" + request.machine + "\n";
   key += "cores=" + std::to_string(request.cores) + "\n";
   key += "scale=" + std::to_string(request.scale) + "\n";
@@ -220,7 +228,8 @@ std::string Service::tune_cache_key_text(
     const Request& request, const std::vector<std::string>& seed_specs) {
   const ir::Program program = ir::parse_program(request.program);
   const std::string canonical_text = ir::to_string(program);
-  std::string key = "bwcd-tune-key-v" + std::to_string(kProtocolVersion) + "\n";
+  std::string key =
+      "bwcd-tune-key-v" + std::to_string(kCacheKeyVersion) + "\n";
   key += "machine=" + request.machine + "\n";
   key += "cores=" + std::to_string(request.cores) + "\n";
   key += "scale=" + std::to_string(request.scale) + "\n";

@@ -4,6 +4,7 @@
 #include <map>
 #include <numeric>
 #include <set>
+#include <tuple>
 #include <utility>
 
 #include "bwc/analysis/access_summary.h"
@@ -128,16 +129,18 @@ LayoutResult regroup_layouts(const Program& program) {
     }
   }
 
+  // Members share one slot walk, so they must agree on every padded
+  // extent in storage order and on which logical dimension each storage
+  // position holds; for 1-D arrays that is just the padded length.
   struct Key {
-    std::int64_t slots;
+    std::vector<std::int64_t> padded;
+    std::vector<int> order;
     std::uint64_t elem_bytes;
     std::vector<int> stmts;
     bool written;
     bool operator<(const Key& o) const {
-      if (slots != o.slots) return slots < o.slots;
-      if (elem_bytes != o.elem_bytes) return elem_bytes < o.elem_bytes;
-      if (written != o.written) return written < o.written;
-      return stmts < o.stmts;
+      return std::tie(padded, order, elem_bytes, written, stmts) <
+             std::tie(o.padded, o.order, o.elem_bytes, o.written, o.stmts);
     }
   };
   std::map<Key, std::vector<ArrayId>> buckets;
@@ -146,12 +149,14 @@ LayoutResult regroup_layouts(const Program& program) {
     const ir::ArrayDecl& decl = p.array(a);
     next_group = std::max(next_group, decl.layout.group + 1);
     if (decl.layout.group >= 0) continue;  // already interleaved
-    if (decl.extents.size() != 1) continue;
     if (accessed_by[static_cast<std::size_t>(a)].empty()) continue;
-    buckets[{decl.padded_element_count(), decl.elem_bytes,
-             accessed_by[static_cast<std::size_t>(a)],
-             written[static_cast<std::size_t>(a)]}]
-        .push_back(a);
+    Key key{{}, {}, decl.elem_bytes, accessed_by[static_cast<std::size_t>(a)],
+            written[static_cast<std::size_t>(a)]};
+    for (std::size_t k = 0; k < decl.extents.size(); ++k) {
+      key.padded.push_back(decl.padded_extent(k));
+      key.order.push_back(decl.storage_dim(k));
+    }
+    buckets[std::move(key)].push_back(a);
   }
 
   for (const auto& [key, members] : buckets) {

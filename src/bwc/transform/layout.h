@@ -1,7 +1,7 @@
 // Layout transforms: rewrite ArrayLayout declarations, never statements.
 //
-// The fourth transform family. Where fusion, regrouping and storage
-// reduction rewrite the computation, these transforms change only where
+// The fourth transform family. Where fusion, storage reduction and store
+// elimination rewrite the computation, these transforms change only where
 // elements sit in the simulated address space (ir::ArrayLayout), leaving
 // every statement -- and therefore every computed value -- untouched.
 // Legality is structural (verify::prove_layout_change); profitability is
@@ -12,10 +12,11 @@
 //                      so the dimension the innermost loops walk is the
 //                      fastest-varying one (row-major <-> column-major).
 //
-//   regroup_layouts    interleave always-co-accessed same-shape 1-D
-//                      arrays into one allocation (SoA -> AoS) by
-//                      assigning them a shared interleave group: k
-//                      conflicting streams collapse into one.
+//   regroup_layouts    interleave always-co-accessed same-shape arrays
+//                      into one allocation (SoA -> AoS) by assigning them
+//                      a shared interleave group: k conflicting streams
+//                      collapse into one (the paper's Section 4 inter-
+//                      array regrouping, as a pure layout change).
 //
 //   pad_layouts        add dead element slots: inter-dimension padding
 //                      breaks power-of-two strides that collapse onto few
@@ -43,8 +44,9 @@ struct LayoutResult {
 /// or already-padded arrays.
 LayoutResult transpose_layouts(const ir::Program& program);
 
-/// Assign fresh interleave groups to sets of 1-D arrays with identical
-/// shape, padding and accessing statements (and matching written-ness).
+/// Assign fresh interleave groups to sets of arrays with identical
+/// per-dimension padded extents, storage order, element size and
+/// accessing statements (and matching written-ness).
 LayoutResult regroup_layouts(const ir::Program& program);
 
 /// Pad layouts to break set-mapping conflicts reported by the estimator

@@ -257,6 +257,7 @@ TuneResult tune(const ir::Program& program, const TuneOptions& options) {
   seeds.erase(std::unique(seeds.begin(), seeds.end()), seeds.end());
   for (const std::string& s : seeds) push(s);
 
+  bool singles_pending = true;
   std::vector<Scored> all;
   while (true) {
     if (static_cast<int>(batch.size()) > options.budget - out.evaluated)
@@ -289,6 +290,16 @@ TuneResult tune(const ir::Program& program, const TuneOptions& options) {
 
     // Next generation, decided serially on the main thread.
     batch.clear();
+    if (singles_pending) {
+      // Second generation: every gene alone, in canonical-string order,
+      // so each single-pass pipeline is scored before any random edit
+      // and the search does not depend on where a gene sits in the pool.
+      singles_pending = false;
+      std::vector<std::string> singles = gene_pool();
+      std::sort(singles.begin(), singles.end());
+      for (const std::string& gene : singles) push(gene);
+      if (!batch.empty()) continue;
+    }
     std::vector<const Scored*> parents;
     for (const Scored& s : all) {
       if (!s.feasible) break;  // sorted: infeasible sink to the back

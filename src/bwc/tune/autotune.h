@@ -10,6 +10,9 @@
 // runtime::ThreadPool; all mutation/selection decisions happen on the
 // main thread at generation boundaries from a seeded bwc::Prng, so a
 // fixed seed replays the identical search whatever the thread count.
+// Random edits start only after every gene of the pool has been scored
+// alone, in canonical-string order, so what the search reaches does not
+// hinge on where a gene is listed in the pool.
 //
 // The searched objective is the *static bound* (cheap, no replay); the
 // top-k survivors plus the default core::optimize pipeline are then

@@ -190,6 +190,17 @@ TEST(AutotuneSearch, WinnerBeatsOrMatchesDefaultWithCertificates) {
   EXPECT_GE(certificates, 2);
 }
 
+// The strict win must not hinge on the seeded draws: the generation of
+// single-gene pipelines reaches interchange within the small budget
+// whatever the gene pool's listing order.
+TEST(AutotuneSearch, SmallBudgetFindsTheTransposedSweepWin) {
+  const TuneResult result =
+      tune(workloads::transposed_sweep(256), small_options(512));
+  EXPECT_LT(result.winner_measured_bytes, result.default_measured_bytes)
+      << "winner \"" << result.winner_spec << "\"";
+  EXPECT_LE(result.evaluated, parse_budget("small"));
+}
+
 // The winner's report renders as bwc-remarks-v1 records: the synthetic
 // "tune" pass carries the certificate remark and the per-array floor
 // breakdown under distinct keys.

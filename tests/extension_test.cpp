@@ -1,6 +1,5 @@
 // Tests for the extension components: latency-tolerance model, bandwidth
-// prediction/tuning, inter-array regrouping, the k-way-cut reduction and
-// byte-weighted fusion.
+// prediction/tuning, the k-way-cut reduction and byte-weighted fusion.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,21 +7,15 @@
 #include "bwc/fusion/kway_reduction.h"
 #include "bwc/fusion/solvers.h"
 #include "bwc/graph/random_graphs.h"
-#include "bwc/ir/dsl.h"
 #include "bwc/machine/latency_model.h"
 #include "bwc/model/measure.h"
 #include "bwc/model/prediction.h"
-#include "bwc/runtime/interpreter.h"
 #include "bwc/support/error.h"
 #include "bwc/support/prng.h"
-#include "bwc/transform/regrouping.h"
 #include "bwc/workloads/paper_programs.h"
-#include "bwc/workloads/random_programs.h"
 
 namespace bwc {
 namespace {
-
-using namespace ir::dsl;  // NOLINT
 
 // -- Latency model -----------------------------------------------------------
 
@@ -119,99 +112,6 @@ TEST(Prediction, TuningReportNamesBindingBoundary) {
   const std::string rendered = model::render_tuning_report(advice);
   EXPECT_NE(rendered.find("Mem-L2"), std::string::npos);
   EXPECT_NE(rendered.find("<- yes"), std::string::npos);
-}
-
-// -- Regrouping -----------------------------------------------------------------
-
-ir::Program coaccessed_program(std::int64_t n) {
-  ir::Program p("co");
-  const ir::ArrayId a = p.add_array("a", {n});
-  const ir::ArrayId b = p.add_array("b", {n});
-  const ir::ArrayId c = p.add_array("c", {n});
-  p.add_scalar("s");
-  p.mark_output_scalar("s");
-  p.append(loop("i", 1, n,
-                assign("s", sref("s") + (at(a, v("i")) + at(b, v("i")))),
-                assign(c, {v("i")}, at(a, v("i")) * at(b, v("i")))));
-  return p;
-}
-
-TEST(Regrouping, CandidatesGroupCoaccessedSameShapeArrays) {
-  const ir::Program p = coaccessed_program(64);
-  const auto groups = transform::regrouping_candidates(p);
-  // a and b are read-only co-accessed; c is written (different bucket).
-  ASSERT_EQ(groups.size(), 1u);
-  EXPECT_EQ(groups[0].size(), 2u);
-}
-
-TEST(Regrouping, PreservesSemantics) {
-  const ir::Program p = coaccessed_program(64);
-  const auto r = transform::regroup_all(p);
-  ASSERT_EQ(r.actions.size(), 1u);
-  EXPECT_NEAR(runtime::execute(p).checksum,
-              runtime::execute(r.program).checksum, 1e-9);
-}
-
-TEST(Regrouping, InterleavesSubscripts) {
-  const ir::Program p = coaccessed_program(8);
-  const auto r = transform::regroup_all(p);
-  // A grouped array of extent 16 exists and a/b are no longer referenced.
-  bool found = false;
-  for (const auto& decl : r.program.arrays()) {
-    if (decl.name.rfind("grp_", 0) == 0) {
-      EXPECT_EQ(decl.extents[0], 16);
-      found = true;
-    }
-  }
-  EXPECT_TRUE(found);
-}
-
-TEST(Regrouping, SkipsOutputsAndSingletons) {
-  ir::Program p("t");
-  const ir::ArrayId a = p.add_array("a", {16});
-  const ir::ArrayId b = p.add_array("b", {16});
-  p.mark_output_array(b);
-  p.add_scalar("s");
-  p.mark_output_scalar("s");
-  p.append(loop("i", 1, 16,
-                assign("s", sref("s") + at(a, v("i")) + at(b, v("i")))));
-  EXPECT_TRUE(transform::regrouping_candidates(p).empty());
-}
-
-TEST(Regrouping, RejectsMalformedGroups) {
-  ir::Program p("t");
-  const ir::ArrayId a = p.add_array("a", {16});
-  const ir::ArrayId b = p.add_array("b", {32});  // different shape
-  EXPECT_THROW(transform::regroup_arrays(p, {{a, b}}), Error);
-  EXPECT_THROW(transform::regroup_arrays(p, {{a}}), Error);
-}
-
-TEST(Regrouping, RandomProgramsPreserveSemantics) {
-  Prng rng(31415);
-  for (int trial = 0; trial < 15; ++trial) {
-    const ir::Program p = workloads::random_program(rng);
-    const auto r = transform::regroup_all(p);
-    const double before = runtime::execute(p).checksum;
-    const double after = runtime::execute(r.program).checksum;
-    EXPECT_NEAR(before, after, 1e-9 * (std::abs(before) + 1.0))
-        << "trial " << trial;
-  }
-}
-
-TEST(Regrouping, TwoDimensionalArrays) {
-  ir::Program p("t2d");
-  const ir::ArrayId a = p.add_array("a", {8, 8});
-  const ir::ArrayId b = p.add_array("b", {8, 8});
-  p.add_scalar("s");
-  p.mark_output_scalar("s");
-  p.append(loop("j", 1, 8,
-                loop("i", 1, 8,
-                     assign("s", sref("s") + (at(a, v("i"), v("j")) +
-                                              at(b, v("i"), v("j")))))));
-  const auto r = transform::regroup_all(p);
-  ASSERT_EQ(r.actions.size(), 1u);
-  EXPECT_NEAR(runtime::execute(p).checksum,
-              runtime::execute(r.program).checksum, 1e-9);
 }
 
 // -- k-way cut reduction (paper Section 3.1.3) ------------------------------------

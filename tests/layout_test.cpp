@@ -15,6 +15,7 @@
 
 #include "bwc/analysis/layout_traffic.h"
 #include "bwc/core/optimizer.h"
+#include "bwc/ir/dsl.h"
 #include "bwc/ir/parser.h"
 #include "bwc/ir/printer.h"
 #include "bwc/ir/program.h"
@@ -24,9 +25,13 @@
 #include "bwc/runtime/codegen.h"
 #include "bwc/runtime/compiled.h"
 #include "bwc/runtime/interpreter.h"
+#include "bwc/support/error.h"
+#include "bwc/support/prng.h"
 #include "bwc/transform/layout.h"
 #include "bwc/verify/static_legality.h"
+#include "bwc/verify/structure.h"
 #include "bwc/workloads/extra_programs.h"
+#include "bwc/workloads/random_programs.h"
 
 namespace bwc {
 namespace {
@@ -367,6 +372,101 @@ TEST(LayoutLegality, UnknownWhenComputationChanged) {
       workloads::transposed_sweep(16), workloads::transposed_sweep(32));
   EXPECT_EQ(res.verdict, verify::LegalityVerdict::kUnknown);
   EXPECT_EQ(res.reason, "not-a-pure-layout-change");
+}
+
+// --------------------------------------------------------------------
+// Regrouping (paper Section 4): regroup-arrays on the co-accessed 1-D,
+// 2-D and random programs the statement-rewriting regrouping was held to.
+// --------------------------------------------------------------------
+
+/// a and b are only read, together; c is written by the same loop.
+Program coaccessed_program(std::int64_t n) {
+  using namespace ir::dsl;  // NOLINT
+  Program p("co");
+  const ArrayId a = p.add_array("a", {n});
+  const ArrayId b = p.add_array("b", {n});
+  const ArrayId c = p.add_array("c", {n});
+  p.add_scalar("s");
+  p.mark_output_scalar("s");
+  p.append(loop("i", 1, n,
+                assign("s", sref("s") + (at(a, v("i")) + at(b, v("i")))),
+                assign(c, {v("i")}, at(a, v("i")) * at(b, v("i")))));
+  return p;
+}
+
+/// a[n,n] and b[n,n] read together by one column-major nest.
+Program two_dimensional_program(std::int64_t n) {
+  using namespace ir::dsl;  // NOLINT
+  Program p("t2d");
+  const ArrayId a = p.add_array("a", {n, n});
+  const ArrayId b = p.add_array("b", {n, n});
+  p.add_scalar("s");
+  p.mark_output_scalar("s");
+  p.append(loop("j", 1, n,
+                loop("i", 1, n,
+                     assign("s", sref("s") + (at(a, v("i"), v("j")) +
+                                              at(b, v("i"), v("j")))))));
+  return p;
+}
+
+/// regroup_layouts forms exactly one group, the change is proven a pure
+/// layout change, and it replays bit-identically on every engine.
+void expect_one_regroup(const Program& p) {
+  SCOPED_TRACE(p.name());
+  const transform::LayoutResult r = transform::regroup_layouts(p);
+  ASSERT_EQ(r.actions.size(), 1u);
+  const verify::LegalityResult proof =
+      verify::prove_layout_change(p, r.program);
+  EXPECT_EQ(proof.verdict, verify::LegalityVerdict::kProven) << proof.reason;
+  expect_layout_equivalent(p, r.program);
+}
+
+TEST(Regrouping, CandidatesGroupCoaccessedSameShapeArrays) {
+  const transform::LayoutResult r =
+      transform::regroup_layouts(coaccessed_program(64));
+  // a and b are read-only co-accessed; c is written (a different bucket).
+  const int group = r.program.array(0).layout.group;
+  EXPECT_GE(group, 0);
+  EXPECT_EQ(r.program.array(1).layout.group, group);
+  EXPECT_LT(r.program.array(2).layout.group, 0);
+}
+
+TEST(Regrouping, PreservesSemantics) {
+  expect_one_regroup(coaccessed_program(64));
+}
+
+TEST(Regrouping, TwoDimensionalArrays) {
+  expect_one_regroup(two_dimensional_program(8));
+  expect_one_regroup(two_dimensional_program(64));
+}
+
+TEST(Regrouping, RandomProgramsPreserveSemantics) {
+  Prng rng(31415);
+  for (int trial = 0; trial < 15; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const Program p = workloads::random_program(rng);
+    expect_layout_equivalent(p, transform::regroup_layouts(p).program);
+  }
+}
+
+TEST(Regrouping, RejectsMalformedGroups) {
+  // Members of different shape cannot share one slot walk.
+  Program p("t");
+  const ArrayId a = p.add_array("a", {16});
+  const ArrayId b = p.add_array("b", {32});
+  const Program plain = p.clone();
+  p.mutable_array(a).layout.group = 0;
+  p.mutable_array(b).layout.group = 0;
+  EXPECT_THROW(ir::resolve_addressing(p, a), Error);
+  EXPECT_EQ(verify::prove_layout_change(plain, p).verdict,
+            verify::LegalityVerdict::kRefuted);
+  // A group of one is flagged by the structural validator.
+  Program q = plain.clone();
+  q.mutable_array(a).layout.group = 0;
+  bool singleton = false;
+  for (const verify::Diagnostic& d : verify::validate_structure(q).diags)
+    singleton = singleton || d.code == "layout-group-singleton";
+  EXPECT_TRUE(singleton);
 }
 
 // --------------------------------------------------------------------

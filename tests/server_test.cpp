@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "bwc/ir/parser.h"
 #include "bwc/ir/printer.h"
 #include "bwc/server/cache.h"
 #include "bwc/server/frame.h"
@@ -553,6 +554,33 @@ TEST(ServerService, CacheKeyCanonicalizesSpelling) {
   EXPECT_NE(service.cache_key_text(a), service.cache_key_text(e));
   EXPECT_NE(service.cache_key_text(a), service.cache_key_text(f));
   EXPECT_NE(service.cache_key_text(a), service.cache_key_text(g));
+}
+
+TEST(ServerService, StaleKeyFormatEntryIsNotServed) {
+  // A cache directory written under key format v1 holds a result for the
+  // since-removed regroup pass. Reusing it must not serve that body: a
+  // cold daemon answers the request with an unknown-pass error.
+  TempDir dir("stale-key");
+  Request request = small_request();
+  request.pipeline = "regroup()";  // canonicalizes to the bare name
+  const std::string v1_key =
+      "bwcd-key-v1\nmachine=" + request.machine +
+      "\ncores=" + std::to_string(request.cores) +
+      "\nscale=" + std::to_string(request.scale) +
+      "\nmeasure=" + (request.measure ? "1" : "0") +
+      "\npipeline=regroup\nprogram:\n" +
+      ir::to_string(ir::parse_program(request.program));
+  CompileCache(dir.path()).put(v1_key, R"({"stale":true})");
+
+  ServiceOptions options;
+  options.cache_dir = dir.path();
+  Service service(options);
+  const Response response = service.handle(request);
+  EXPECT_EQ(response.status, "error");
+  EXPECT_FALSE(response.cache_hit);
+  EXPECT_NE(response.result_json, R"({"stale":true})");
+  EXPECT_NE(response.error.find("unknown pass: regroup"), std::string::npos)
+      << response.error;
 }
 
 TEST(ServerService, BlankPipelineRunsNoPass) {

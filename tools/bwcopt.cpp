@@ -137,7 +137,7 @@ const Flag kFlags[] = {
      "fuse(...); --no-storage: drop reduce-storage; --no-stores: drop "
      "eliminate-stores; --shift: fuse(solver=best,shift=1); --interchange: "
      "prepend interchange; --scalar-replace: append scalar-replace; "
-     "--regroup: append regroup",
+     "--regroup: append regroup-arrays",
      [](Options& o, const std::string& v) { o.passes = v; }},
     // Verification and reporting.
     {"--verify", "",
