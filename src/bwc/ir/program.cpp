@@ -95,7 +95,7 @@ ArrayId Program::add_array(const std::string& name,
   for (std::int64_t e : extents)
     BWC_CHECK(e >= 1, "array extents must be positive");
   BWC_CHECK(elem_bytes > 0, "element size must be positive");
-  arrays_.push_back({name, std::move(extents), elem_bytes});
+  arrays_.push_back({name, std::move(extents), elem_bytes, ArrayLayout{}});
   return static_cast<ArrayId>(arrays_.size() - 1);
 }
 

@@ -98,7 +98,9 @@ Request parse_request_schema(const JsonValue& doc) {
   r.program = doc.string_or("program", "");
   if (r.program.empty())
     bad_request("op \"" + op + "\" requires a non-empty \"program\"");
-  r.pipeline = doc.string_or("pipeline", "");
+  if (const JsonValue* spec = doc.find("pipeline");
+      spec != nullptr && !spec->is_null())
+    r.pipeline = doc.string_or("pipeline", "");
   r.machine = doc.string_or("machine", "o2k");
   if (r.machine != "o2k" && r.machine != "exemplar" && r.machine != "modern")
     bad_request("unknown machine \"" + r.machine +
@@ -153,8 +155,8 @@ std::string render_request(const Request& request) {
   const bool is_tune = request.op == Request::Op::kTune;
   doc.set("op", JsonValue::string(is_tune ? "tune" : "optimize"));
   doc.set("program", JsonValue::string(request.program));
-  if (!is_tune && !request.pipeline.empty())
-    doc.set("pipeline", JsonValue::string(request.pipeline));
+  if (!is_tune && request.pipeline)
+    doc.set("pipeline", JsonValue::string(*request.pipeline));
   doc.set("machine", JsonValue::string(request.machine));
   doc.set("cores", JsonValue::number(request.cores));
   doc.set("scale", JsonValue::number(static_cast<double>(request.scale)));

@@ -30,6 +30,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "bwc/server/json.h"
@@ -49,11 +50,11 @@ struct Request {
   Op op = Op::kOptimize;
   /// IR program in the printer's text format (ir/parser.h).
   std::string program;
-  /// PipelineSpec string, run as given; empty (absent on the wire) runs
-  /// core::kDefaultPipeline, so a blank spec such as " " runs no pass.
+  /// PipelineSpec string, run as given: "" or " " runs no pass. Absent
+  /// (no field on the wire, or null) runs core::kDefaultPipeline.
   /// Rejected for op "tune" (tune searches pipelines instead of accepting
   /// one).
-  std::string pipeline;
+  std::optional<std::string> pipeline;
   /// Tune-only knobs (rejected on other ops): search strategy, the
   /// certificate gap tolerance in percent, the evaluation budget
   /// ("small" | "medium" | "large" | positive integer) and the search

@@ -43,10 +43,11 @@ std::uint64_t unix_micros() {
 constexpr int kCacheKeyVersion = 2;
 
 /// Canonical pipeline spec for a request: the explicit spec re-rendered
-/// through the parser, or the default pipeline. Throws on a bad spec.
+/// through the parser ("" for no pass), or the default pipeline when the
+/// request names none. Throws on a bad spec.
 std::string canonical_pipeline(const Request& request) {
-  if (request.pipeline.empty()) return core::kDefaultPipeline;
-  return pass::parse_pipeline_spec(request.pipeline).to_string();
+  if (!request.pipeline) return core::kDefaultPipeline;
+  return pass::parse_pipeline_spec(*request.pipeline).to_string();
 }
 
 machine::MachineModel make_machine(const Request& request) {

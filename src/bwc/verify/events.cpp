@@ -4,6 +4,7 @@
 #include <cstring>
 #include <functional>
 #include <sstream>
+#include <unordered_map>
 
 #include "bwc/support/error.h"
 
@@ -31,6 +32,8 @@ std::uint64_t hash_double(double d) {
 }
 
 }  // namespace
+
+std::uint64_t initial_value(Location loc) { return hash_combine(0x77, loc); }
 
 int LocationSpace::array_slot(const std::string& name,
                               std::uint64_t elem_bytes) {
@@ -229,23 +232,27 @@ class Tracer {
     }
   }
 
-  /// Fingerprint the rhs and collect its reads.
-  std::uint64_t walk_expr(const ir::Expr& e, std::vector<Location>* reads) {
+  /// Fingerprint the rhs and collect its reads; `value` receives the same
+  /// fingerprint with every read replaced by the value its location holds.
+  std::uint64_t walk_expr(const ir::Expr& e, std::vector<Location>* reads,
+                          std::uint64_t* value) {
     double folded = 0.0;
     if (fold_numeric(e, &folded))
-      return hash_combine(0x11, hash_double(folded));
+      return *value = hash_combine(0x11, hash_double(folded));
     switch (e.kind) {
       case ir::ExprKind::kConst:
       case ir::ExprKind::kLoopVar:
-        return 0;  // handled by fold_numeric
+        return *value = 0;  // handled by fold_numeric
       case ir::ExprKind::kScalarRef: {
         const Location loc = space_.scalar(space_.scalar_slot(e.scalar));
         reads->push_back(loc);
+        *value = held(loc);
         return hash_combine(0x22, loc);
       }
       case ir::ExprKind::kArrayRef: {
         const Location loc = locate(e.array, e.subscripts);
         reads->push_back(loc);
+        *value = held(loc);
         return hash_combine(0x33, loc);
       }
       case ir::ExprKind::kInput: {
@@ -257,24 +264,31 @@ class Tracer {
           linear += (eval_affine(e.subscripts[d]) - 1) * stride;
           if (d < e.input_extents.size()) stride *= e.input_extents[d];
         }
-        return hash_combine(
-            0x44, hash_combine(static_cast<std::uint64_t>(e.input_key),
-                               static_cast<std::uint64_t>(linear)));
+        return *value = hash_combine(
+                   0x44, hash_combine(static_cast<std::uint64_t>(e.input_key),
+                                      static_cast<std::uint64_t>(linear)));
       }
-      case ir::ExprKind::kBinary: {
-        std::uint64_t h = hash_combine(0x55, static_cast<std::uint64_t>(e.op));
-        for (const auto& op : e.operands)
-          h = hash_combine(h, walk_expr(*op, reads));
-        return h;
-      }
+      case ir::ExprKind::kBinary:
       case ir::ExprKind::kCall: {
-        std::uint64_t h = hash_combine(0x66, std::hash<std::string>{}(e.callee));
-        for (const auto& op : e.operands)
-          h = hash_combine(h, walk_expr(*op, reads));
+        std::uint64_t h =
+            e.kind == ir::ExprKind::kBinary
+                ? hash_combine(0x55, static_cast<std::uint64_t>(e.op))
+                : hash_combine(0x66, std::hash<std::string>{}(e.callee));
+        *value = h;
+        for (const auto& op : e.operands) {
+          std::uint64_t v = 0;
+          h = hash_combine(h, walk_expr(*op, reads, &v));
+          *value = hash_combine(*value, v);
+        }
         return h;
       }
     }
-    return 0;
+    return *value = 0;
+  }
+
+  std::uint64_t held(Location loc) const {
+    const auto it = held_.find(loc);
+    return it == held_.end() ? initial_value(loc) : it->second;
   }
 
   /// `s = s op expr` with s not otherwise in expr?
@@ -317,7 +331,7 @@ class Tracer {
     inst.iters.reserve(env_.size());
     for (const auto& [name, value] : env_) inst.iters.push_back(value);
 
-    inst.rhs_hash = s.rhs ? walk_expr(*s.rhs, &inst.reads) : 0;
+    inst.rhs_hash = s.rhs ? walk_expr(*s.rhs, &inst.reads, &inst.value) : 0;
     if (s.kind == ir::StmtKind::kArrayAssign) {
       inst.write = locate(s.lhs_array, s.lhs_subscripts);
     } else {
@@ -326,6 +340,7 @@ class Tracer {
     }
     if (out_->truncated) return;
 
+    held_[inst.write] = inst.value;
     std::sort(inst.reads.begin(), inst.reads.end());
     inst.reads.erase(std::unique(inst.reads.begin(), inst.reads.end()),
                      inst.reads.end());
@@ -388,6 +403,8 @@ class Tracer {
   std::vector<std::pair<std::string, std::int64_t>> env_;
   std::vector<int> array_slot_of_id_;
   std::int32_t top_index_ = -1;
+  /// The symbolic value each written location holds.
+  std::unordered_map<Location, std::uint64_t> held_;
 };
 
 /// Count array/scalar accesses of one statement (assignments only).

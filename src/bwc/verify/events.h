@@ -77,6 +77,12 @@ struct Instance {
   /// invariant under loop-variable renaming, shifting (i -> i - s) and any
   /// other substitution that preserves the computed value's structure.
   std::uint64_t rhs_hash = 0;
+  /// Symbolic value written: rhs_hash with every read replaced by the
+  /// symbolic value its location held (a bare reference copies that value
+  /// unchanged; a location never written holds initial_value()). Equal
+  /// values are equal expression trees over inputs and initial contents,
+  /// whatever storage carried the intermediate results.
+  std::uint64_t value = 0;
   /// The statement has the reduction shape `s = s op expr` with s not
   /// otherwise appearing in expr (op one of +, min, max).
   bool reduction = false;
@@ -94,6 +100,9 @@ struct EventTrace {
   /// must not be used for certification.
   bool truncated = false;
 };
+
+/// Symbolic value of a location's initial contents (see Instance::value).
+std::uint64_t initial_value(Location loc);
 
 /// Statically estimate the number of access events the trace would emit
 /// (sum over assignments of trip-count x accesses; guards assumed taken).

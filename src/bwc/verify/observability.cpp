@@ -80,6 +80,52 @@ bool trace_pair(const ir::Program& pre, const ir::Program& post,
   return true;
 }
 
+/// Every output location ends with the same symbolic value (see
+/// Instance::value) in both traces: `post` computes each output by the
+/// same expression over the inputs, whatever storage carried it.
+void compare_output_values(const ir::Program& pre, const EventTrace& ta,
+                           const EventTrace& tb, LocationSpace& space,
+                           const std::string& code, Report* report) {
+  std::set<int> output_slots;
+  for (const auto& name : output_array_names(pre))
+    output_slots.insert(space.array_slot(name));
+  std::set<Location> outputs;
+  for (const auto& s : pre.output_scalars())
+    outputs.insert(space.scalar(space.scalar_slot(s)));
+  auto final_values = [&](const EventTrace& trace) {
+    std::map<Location, std::uint64_t> last;
+    for (const auto& inst : trace.instances) {
+      last[inst.write] = inst.value;
+      if (!space.is_scalar(inst.write) &&
+          output_slots.count(space.slot_of(inst.write)) != 0)
+        outputs.insert(inst.write);
+    }
+    return last;
+  };
+  const std::map<Location, std::uint64_t> va = final_values(ta);
+  const std::map<Location, std::uint64_t> vb = final_values(tb);
+  auto final_of = [](const std::map<Location, std::uint64_t>& last,
+                     Location loc) {
+    const auto it = last.find(loc);
+    return it == last.end() ? initial_value(loc) : it->second;
+  };
+  int mismatches = 0;
+  for (const Location loc : outputs) {
+    if (final_of(va, loc) == final_of(vb, loc)) continue;
+    if (mismatches < 3) {
+      report->error(code, "output " + space.describe(loc) +
+                              " ends with a different value than in the "
+                              "pre-pass program: the rewrite changed what "
+                              "it computes");
+    }
+    ++mismatches;
+  }
+  if (mismatches > 3) {
+    report->error(code, "... and " + std::to_string(mismatches - 3) +
+                            " further output location(s)");
+  }
+}
+
 }  // namespace
 
 Report validate_store_elimination(const ir::Program& pre,
@@ -93,6 +139,8 @@ Report validate_store_elimination(const ir::Program& pre,
   if (!trace_pair(pre, post, options.max_events, &report, &space, &ta, &tb)) {
     return report;
   }
+  compare_output_values(pre, ta, tb, space, "store-elim-value-mismatch",
+                        &report);
 
   const TraceTouch pre_touch = touch_of(ta, space);
   const TraceTouch post_touch = touch_of(tb, space);
@@ -224,6 +272,8 @@ Report validate_storage_reduction(const ir::Program& pre,
   if (!trace_pair(pre, post, options.max_events, &report, &space, &ta, &tb)) {
     return report;
   }
+  compare_output_values(pre, ta, tb, space, "storage-reduction-value-mismatch",
+                        &report);
 
   const TraceTouch pre_touch = touch_of(ta, space);
   const TraceTouch post_touch = touch_of(tb, space);

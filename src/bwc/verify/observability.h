@@ -18,6 +18,9 @@
 //   - in `post`, the array is never written, and each element is read at
 //     most as often as `pre` read its *initial* (pre-first-write) value --
 //     every value-observing read must have been forwarded off memory.
+//   - every output ends with the same symbolic value as in `pre`
+//     (Instance::value): the rewrite computes each output by the same
+//     expression over the inputs.
 //
 // validate_storage_reduction(pre, post) certifies, for every array whose
 // references disappeared:
@@ -29,7 +32,10 @@
 //     in the arrays and scalars the pass introduced. This is a lower-bound
 //     argument in the spirit of the traffic bound: a pass that "shrinks" a
 //     live array below its peak live set cannot be correct, whatever code
-//     it generated.
+//     it generated;
+//   - every output ends with the same symbolic value as in `pre`, so the
+//     generated code (rotation and peel copies included) carries each
+//     value to the reads that need it.
 #pragma once
 
 #include <cstdint>

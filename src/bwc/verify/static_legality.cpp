@@ -14,6 +14,13 @@ namespace {
 
 constexpr std::int64_t kSpan = std::int64_t{1} << 40;
 
+using Vars = std::vector<std::string>;
+
+int level_of(const Vars& vars, const std::string& name) {
+  auto it = std::find(vars.begin(), vars.end(), name);
+  return it == vars.end() ? -1 : static_cast<int>(it - vars.begin());
+}
+
 // ---------------------------------------------------------------------------
 // Atoms: assignment sites annotated with their top statement index.
 
@@ -190,12 +197,6 @@ class RescheduleMatcher {
     }
   }
 
-  int level_of(const std::vector<std::string>& vars,
-               const std::string& name) const {
-    auto it = std::find(vars.begin(), vars.end(), name);
-    return it == vars.end() ? -1 : static_cast<int>(it - vars.begin());
-  }
-
   std::optional<LevelMap> infer() {
     int nb = static_cast<int>(b_.site.loop_vars.size());
     int na = static_cast<int>(a_.site.loop_vars.size());
@@ -256,6 +257,17 @@ class RescheduleMatcher {
       if (mb < 0 || ma < 0) return std::nullopt;
       map.to_after[mb] = ma;
       after_claimed[ma] = true;
+    }
+    // A level no affine pair mentions leaves the statement's value
+    // independent of that loop variable (`acc = acc + 0.5`): pair it with
+    // the unclaimed after level of the same name. The domain check below
+    // still has to hold.
+    for (int m = 0; m < nb; ++m) {
+      if (map.to_after[m] >= 0) continue;
+      const int p = level_of(a_.site.loop_vars, b_.site.loop_vars[m]);
+      if (p < 0 || after_claimed[p]) continue;
+      map.to_after[m] = p;
+      after_claimed[p] = true;
     }
     // Shifts: each pair yields sum_u coeff_u * shift_u = const_b - const_a.
     // Solve equations with a single unknown until fixpoint.
@@ -441,6 +453,23 @@ std::vector<OrderClass> after_classes(const Atom& A, const Atom& B,
   return out;
 }
 
+/// Two classes bound the same variable difference to disjoint ranges, so
+/// their conjunction needs no system.
+bool classes_contradict(const OrderClass& x, const OrderClass& y) {
+  for (const DiffConstraint& p : x.constraints) {
+    for (const DiffConstraint& q : y.constraints) {
+      if (p.a_level != q.a_level || p.b_level != q.b_level) continue;
+      // (b + b_shift) - (a + a_shift) in range, as a range for b - a.
+      const std::int64_t dp = p.a_shift - p.b_shift;
+      const std::int64_t dq = q.a_shift - q.b_shift;
+      if (std::max(p.range.lo + dp, q.range.lo + dq) >
+          std::min(p.range.hi + dp, q.range.hi + dq))
+        return true;
+    }
+  }
+  return false;
+}
+
 void apply_class(PairSystem* sys, const OrderClass& c) {
   for (const auto& k : c.constraints) {
     int va = k.a_level >= 0 ? sys->a_var(k.a_level) : -1;
@@ -591,6 +620,8 @@ LegalityResult prove_reschedule(const ir::Program& before,
     }
   }
 
+  std::vector<std::vector<AffineRef>> after_refs;
+  for (const Atom& a : m.after) after_refs.push_back(site_refs(after, a.site));
   bool refuted = false;
   for (std::size_t i = 0; i < m.before.size() && !refuted; ++i) {
     for (std::size_t j = i; j < m.before.size() && !refuted; ++j) {
@@ -599,8 +630,8 @@ LegalityResult prove_reschedule(const ir::Program& before,
       const Atom& Ap = m.after[m.pair[i]];
       const Atom& Bp = m.after[m.pair[j]];
       bool self = i == j;
-      std::vector<AffineRef> ra = site_refs(after, Ap.site);
-      std::vector<AffineRef> rb = site_refs(after, Bp.site);
+      const std::vector<AffineRef>& ra = after_refs[m.pair[i]];
+      const std::vector<AffineRef>& rb = after_refs[m.pair[j]];
       std::vector<OrderClass> bcs;
       std::vector<OrderClass> acs;
       bool classes_built = false;
@@ -639,7 +670,7 @@ LegalityResult prove_reschedule(const ir::Program& before,
           bool pair_unknown = false;
           for (const auto& bc : bcs) {
             for (const auto& ac : acs) {
-              if (bc.order == ac.order) continue;
+              if (bc.order == ac.order || classes_contradict(bc, ac)) continue;
               PairSystem sys(fa, fb);
               apply_class(&sys, bc);
               apply_class(&sys, ac);
@@ -672,41 +703,611 @@ LegalityResult prove_reschedule(const ir::Program& before,
 }
 
 // ---------------------------------------------------------------------------
-// Store elimination / storage contraction: lockstep comparison modulo
-// array-to-scalar substitution.
+// Value flow: storage reduction and store elimination.
+//
+// Both rewrites run every assignment of `before` in the same place -- a
+// guard split may run one assignment as two arms with disjoint domains --
+// and change only where some arrays' values live. References to a *moved*
+// array become references to fresh storage (a scalar, a column buffer, a
+// peeled column), and copies between fresh locations may be inserted (the
+// rotation copy `a_prev[i] = a_cur[i]`, the peel copy under `j == lo`).
+// Untouched locations see the identical access sequence, so the proof
+// reduces to one obligation per read of a moved array: the write instance
+// whose value the read observes in `after` (found by following copies back
+// to an assignment) is the instance the original read observes in
+// `before`. Reaching writes are found by guess and check: a candidate
+// instance (same iteration, the previous iteration at a shared level, or a
+// writer's last iteration) must provably write the element, precede the
+// read, and have no write of the element strictly in between. Each is an
+// integer feasibility question over the reader's iteration box, so a proof
+// never enumerates instances and holds for every n.
 
 namespace {
 
-struct SubstSpec {
-  /// Array name -> replacement scalar. For store elimination only *writes*
-  /// and forwarded reads change; for contraction every reference changes.
-  std::map<std::string, std::string> array_to_scalar;
+/// A set of iterations of the reader being resolved: one domain per loop
+/// level of that ("root") reader.
+using Box = std::vector<VarDomain>;
 
-  struct RewrittenRef {
-    std::string array;
-    std::vector<ir::Affine> tuple;
-    bool write = false;
-    const Atom* atom = nullptr;
-  };
-  std::vector<RewrittenRef> rewritten;
+/// coeff * x[var] + k, with x the loop levels of the root reader (or of a
+/// writer, for write subscripts); var -1 is a constant. Value-flow proofs
+/// need at most one variable per subscript or instance coordinate.
+struct Lin {
+  int var = -1;
+  std::int64_t coeff = 0;
+  std::int64_t k = 0;
+
+  static Lin of(int var, std::int64_t coeff, std::int64_t k) {
+    return coeff == 0 ? Lin{-1, 0, k} : Lin{var, coeff, k};
+  }
+  static Lin constant(std::int64_t k) { return {-1, 0, k}; }
+  bool is_constant() const { return var < 0; }
+  Lin operator+(std::int64_t d) const { return {var, coeff, k + d}; }
 };
 
-/// Structural equality of before/after expressions where a before read
-/// A[tuple] (A in spec) may appear as the replacement scalar in after.
-bool equal_modulo(const ir::Program& pb, const ir::Program& pa,
-                  const ir::Expr& eb, const ir::Expr& ea, const Atom& atom,
-                  SubstSpec* spec) {
-  if (eb.kind == ir::ExprKind::kArrayRef) {
-    auto it = spec->array_to_scalar.find(pb.array(eb.array).name);
-    if (it != spec->array_to_scalar.end()) {
-      if (ea.kind == ir::ExprKind::kScalarRef && ea.scalar == it->second) {
-        spec->rewritten.push_back(
-            {pb.array(eb.array).name, eb.subscripts, false, &atom});
+std::optional<Lin> to_lin(const ir::Affine& e, const Vars& vars) {
+  if (e.is_constant()) return Lin::constant(e.constant_term());
+  if (e.terms().size() != 1) return std::nullopt;
+  const auto& [name, c] = *e.terms().begin();
+  const int l = level_of(vars, name);
+  if (l < 0) return std::nullopt;
+  return Lin::of(l, c, e.constant_term());
+}
+
+bool to_lins(const std::vector<ir::Affine>& es, const Vars& vars,
+             std::vector<Lin>* out) {
+  out->clear();
+  for (const auto& e : es) {
+    auto l = to_lin(e, vars);
+    if (!l) return false;
+    out->push_back(*l);
+  }
+  return true;
+}
+
+/// a - b, when that still has at most one variable.
+std::optional<Lin> minus(const Lin& a, const Lin& b) {
+  if (b.is_constant()) return Lin{a.var, a.coeff, a.k - b.k};
+  if (a.is_constant()) return Lin{b.var, -b.coeff, a.k - b.k};
+  if (a.var != b.var) return std::nullopt;
+  return Lin::of(a.var, a.coeff - b.coeff, a.k - b.k);
+}
+
+/// `w`, over a writer's levels, at the writer instance `inst`.
+Lin compose(const Lin& w, const std::vector<Lin>& inst) {
+  if (w.is_constant()) return w;
+  const Lin& v = inst[static_cast<std::size_t>(w.var)];
+  return Lin::of(v.var, v.coeff * w.coeff, v.k * w.coeff + w.k);
+}
+
+VarDomain intersect(const VarDomain& a, const VarDomain& b) {
+  VarDomain out;
+  std::size_t i = 0, j = 0;
+  while (i < a.ranges.size() && j < b.ranges.size()) {
+    Interval c{std::max(a.ranges[i].lo, b.ranges[j].lo),
+               std::min(a.ranges[i].hi, b.ranges[j].hi)};
+    if (!c.empty()) out.ranges.push_back(c);
+    if (a.ranges[i].hi < b.ranges[j].hi) {
+      ++i;
+    } else {
+      ++j;
+    }
+  }
+  return out;
+}
+
+VarDomain subtract(const VarDomain& a, const VarDomain& b) {
+  VarDomain out;
+  for (const Interval& r : a.ranges) {
+    std::int64_t lo = r.lo;
+    for (const Interval& c : b.ranges) {
+      if (c.hi < lo) continue;
+      if (c.lo > r.hi) break;
+      if (c.lo > lo) out.ranges.push_back({lo, c.lo - 1});
+      lo = c.hi + 1;
+      if (lo > r.hi) break;
+    }
+    if (lo <= r.hi) out.ranges.push_back({lo, r.hi});
+  }
+  return out;
+}
+
+/// Sorted, merged union of intervals.
+VarDomain union_of(std::vector<Interval> ivs) {
+  std::sort(ivs.begin(), ivs.end(),
+            [](const Interval& a, const Interval& b) { return a.lo < b.lo; });
+  VarDomain out;
+  for (const Interval& iv : ivs) {
+    if (iv.empty()) continue;
+    if (!out.ranges.empty() && iv.lo <= out.ranges.back().hi + 1) {
+      out.ranges.back().hi = std::max(out.ranges.back().hi, iv.hi);
+    } else {
+      out.ranges.push_back(iv);
+    }
+  }
+  return out;
+}
+
+bool box_empty(const Box& b) {
+  return std::any_of(b.begin(), b.end(),
+                     [](const VarDomain& d) { return d.empty(); });
+}
+
+Box box_intersect(const Box& a, const Box& b) {
+  Box out(a.size());
+  for (std::size_t l = 0; l < a.size(); ++l) out[l] = intersect(a[l], b[l]);
+  return out;
+}
+
+/// `whole` minus `part` (part inside whole) as disjoint boxes.
+std::vector<Box> box_minus(const Box& whole, const Box& part) {
+  std::vector<Box> out;
+  Box prefix = whole;
+  for (std::size_t l = 0; l < whole.size(); ++l) {
+    Box piece = prefix;
+    piece[l] = subtract(whole[l], part[l]);
+    if (!piece[l].empty()) out.push_back(std::move(piece));
+    prefix[l] = part[l];
+  }
+  return out;
+}
+
+/// Narrow `box` to the iterations where `e` takes a value in `allowed`;
+/// false when none is left. Exact: each range of `allowed` is two guards
+/// on e's variable, cut with the interval.h splitter.
+bool narrow(Box* box, const Lin& e, const VarDomain& allowed) {
+  if (e.is_constant()) return allowed.contains(e.k);
+  VarDomain& d = (*box)[static_cast<std::size_t>(e.var)];
+  std::vector<Interval> keep, unused;
+  for (const Interval& have : d.ranges) {
+    for (const Interval& r : allowed.ranges) {
+      std::vector<Interval> at_least;
+      split_guard(ir::CmpOp::kGe, e.coeff, e.k - r.lo, have, &at_least,
+                  &unused);
+      for (const Interval& g : at_least)
+        split_guard(ir::CmpOp::kLe, e.coeff, e.k - r.hi, g, &keep, &unused);
+    }
+  }
+  d = union_of(std::move(keep));
+  return !d.empty();
+}
+
+/// `e` is zero everywhere in `box`.
+bool zero_over(const Box& box, const Lin& e) {
+  if (e.is_constant()) return e.k == 0;
+  const VarDomain& d = box[static_cast<std::size_t>(e.var)];
+  return d.size() == 1 && e.coeff * d.ranges.front().lo + e.k == 0;
+}
+
+std::string location(char kind, const std::string& name) {
+  std::string key(1, kind);
+  key += ':';
+  key += name;
+  return key;
+}
+
+/// Location key and subscripts of an array or scalar reference.
+bool ref_location(const ir::Program& p, const ir::Expr& e, std::string* loc,
+                  std::vector<ir::Affine>* subs) {
+  if (e.kind == ir::ExprKind::kArrayRef) {
+    *loc = location('a', p.array(e.array).name);
+    *subs = e.subscripts;
+    return true;
+  }
+  if (e.kind == ir::ExprKind::kScalarRef) {
+    *loc = location('s', e.scalar);
+    subs->clear();
+    return true;
+  }
+  return false;
+}
+
+/// One assignment with the location it writes.
+struct FlowAtom {
+  const Atom* atom = nullptr;
+  std::string loc;               // "a:<array>" or "s:<scalar>"
+  std::vector<ir::Affine> subs;  // written element
+  std::vector<Lin> tuple;        // the same over the atom's levels
+  bool lin = false;              // `tuple` is valid
+  int before = -1;               // after side: the before atom it runs
+  bool copy = false;             // after side: a fresh-to-fresh copy
+  std::string src_loc;           // copy: the location it reads
+  std::vector<Lin> src_tuple;
+};
+
+FlowAtom flow_atom(const ir::Program& p, const Atom& a) {
+  FlowAtom f;
+  f.atom = &a;
+  const ir::Stmt& s = *a.site.stmt;
+  if (s.kind == ir::StmtKind::kArrayAssign) {
+    f.loc = location('a', p.array(s.lhs_array).name);
+    f.subs = s.lhs_subscripts;
+  } else {
+    f.loc = location('s', s.lhs_scalar);
+  }
+  f.lin = to_lins(f.subs, a.site.loop_vars, &f.tuple);
+  return f;
+}
+
+/// A read being resolved: atom `atom` at instance `inst` reads element
+/// `tuple` of `loc`.
+struct Reader {
+  int atom = -1;
+  std::vector<Lin> inst;
+  std::string loc;
+  std::vector<Lin> tuple;
+};
+
+/// Part of a read's iterations with the assignment instance it observes;
+/// atom -1 means the location's initial contents.
+struct Origin {
+  Box box;
+  int atom = -1;
+  std::vector<Lin> inst;
+};
+
+/// J[level] - value in range, for an instance J of some writer.
+struct LevelBound {
+  int level = 0;
+  Lin value;
+  Interval range;
+};
+using OrderCase = std::vector<LevelBound>;
+
+/// The cases in which an instance of `w` runs strictly after (`later`) or
+/// strictly before instance `inst` of `x`, as bounds on w's levels.
+std::vector<OrderCase> order_cases(const Atom& x, const std::vector<Lin>& inst,
+                                   const Atom& w, bool later) {
+  std::vector<OrderCase> out;
+  if (x.top != w.top) {
+    if ((w.top > x.top) == later) out.emplace_back();
+    return out;
+  }
+  const int cl = common_levels(x, w);
+  for (int l = 0; l < cl; ++l) {
+    OrderCase c;
+    for (int m = 0; m < l; ++m) c.push_back({m, inst[m], {0, 0}});
+    c.push_back({l, inst[l], later ? Interval{1, kSpan} : Interval{-kSpan, -1}});
+    out.push_back(std::move(c));
+  }
+  const int po = path_order(x, w);  // 0 only for the same assignment
+  if (later ? po < 0 : po > 0) {
+    OrderCase c;
+    for (int m = 0; m < cl; ++m) c.push_back({m, inst[m], {0, 0}});
+    out.push_back(std::move(c));
+  }
+  return out;
+}
+
+/// Two cases bound one level to ranges that cannot meet.
+bool contradictory(const OrderCase& a, const OrderCase& b) {
+  for (const LevelBound& x : a) {
+    for (const LevelBound& y : b) {
+      if (x.level != y.level) continue;
+      const auto d = minus(y.value, x.value);
+      if (!d || !d->is_constant()) continue;
+      if (std::max(x.range.lo, y.range.lo + d->k) >
+          std::min(x.range.hi, y.range.hi + d->k))
+        return true;
+    }
+  }
+  return false;
+}
+
+/// The levels of an instance of `w` that writing the element `rd` reads
+/// pins: a unit subscript c*J[m] + k == t gives J[m] = c*(t - k).
+std::vector<std::optional<Lin>> pinned_by_element(const FlowAtom& w,
+                                                  const Reader& rd) {
+  std::vector<std::optional<Lin>> pinned(w.atom->site.loop_vars.size());
+  for (std::size_t d = 0; d < w.tuple.size() && d < rd.tuple.size(); ++d) {
+    const Lin& s = w.tuple[d];
+    if (s.is_constant() || (s.coeff != 1 && s.coeff != -1) || pinned[s.var])
+      continue;
+    const Lin& t = rd.tuple[d];
+    pinned[s.var] = Lin::of(t.var, t.coeff * s.coeff, (t.k - s.k) * s.coeff);
+  }
+  return pinned;
+}
+
+/// The assignments of one program, indexed by the location they write.
+class FlowSide {
+ public:
+  explicit FlowSide(std::vector<FlowAtom> atoms) : atoms_(std::move(atoms)) {
+    for (std::size_t i = 0; i < atoms_.size(); ++i)
+      writers_[atoms_[i].loc].push_back(static_cast<int>(i));
+  }
+
+  const std::vector<FlowAtom>& atoms() const { return atoms_; }
+
+  /// Split `region` (iterations of the root reader, whose loop variables
+  /// are `vars`) into pieces, each with the assignment instance the read
+  /// observes there, following copies back to their source. False when
+  /// some piece cannot be resolved.
+  bool resolve(const Vars& vars, const Reader& rd, const Box& region,
+               std::vector<Origin>* out, int* pairs, int depth = 0) const {
+    if (depth > static_cast<int>(atoms_.size())) return false;
+    const std::vector<int>& writers = writers_of(rd.loc);
+    for (int w : writers)
+      if (!atoms_[w].lin) return false;
+    std::vector<Box> work{region};
+    for (int budget = kMaxPieces; !work.empty(); --budget) {
+      if (budget == 0) return false;
+      Box box = std::move(work.back());
+      work.pop_back();
+      bool claimed = false;
+      // Later writers first: usually the nearest one reaches the read.
+      for (auto w = writers.rbegin(); w != writers.rend() && !claimed; ++w) {
+        const FlowAtom& fw = atoms_[*w];
+        for (const auto& inst : candidates(fw, rd)) {
+          Box part = box;
+          if (!admits(fw, inst, rd, &part) ||
+              !nothing_between(vars, &fw, inst, rd, part, pairs))
+            continue;
+          if (fw.copy) {
+            Reader next{*w, inst, fw.src_loc, {}};
+            for (const Lin& s : fw.src_tuple)
+              next.tuple.push_back(compose(s, inst));
+            if (!resolve(vars, next, part, out, pairs, depth + 1))
+              return false;
+          } else {
+            out->push_back({part, *w, inst});
+          }
+          for (auto& rest : box_minus(box, part))
+            work.push_back(std::move(rest));
+          claimed = true;
+          break;
+        }
+      }
+      if (claimed) continue;
+      // No write reaches this piece: it must read initial contents.
+      if (!nothing_between(vars, nullptr, {}, rd, box, pairs)) return false;
+      out->push_back({std::move(box), -1, {}});
+    }
+    return true;
+  }
+
+ private:
+  /// Bound on the pieces one read may be split into.
+  static constexpr int kMaxPieces = 64;
+
+  std::vector<FlowAtom> atoms_;
+  std::map<std::string, std::vector<int>> writers_;
+
+  const std::vector<int>& writers_of(const std::string& loc) const {
+    static const std::vector<int> kNone;
+    auto it = writers_.find(loc);
+    return it == writers_.end() ? kNone : it->second;
+  }
+
+  /// Candidate instances of `w` that may produce the element `rd` reads:
+  /// levels pinned by the write subscripts, the others the reader's own
+  /// iteration -- or, from one shared level k on, the previous iteration
+  /// at k (or the last of one of w's ranges there) and w's last iteration
+  /// below it. Latest first.
+  std::vector<std::vector<Lin>> candidates(const FlowAtom& w,
+                                           const Reader& rd) const {
+    const Atom& W = *w.atom;
+    const Atom& R = *atoms_[rd.atom].atom;
+    const int lw = static_cast<int>(W.site.loop_vars.size());
+    const std::vector<std::optional<Lin>> pinned = pinned_by_element(w, rd);
+    const int cl = W.top == R.top ? common_levels(W, R) : 0;
+    std::vector<int> splits{-1};  // the same iteration is the latest
+    for (int k = cl - 1; k >= 0; --k) splits.push_back(k);
+    std::vector<std::vector<Lin>> out;
+    for (int k : splits) {
+      std::vector<Lin> inst(lw);
+      std::vector<Lin> alts;
+      for (int m = 0; m < lw; ++m) {
+        const VarDomain& dom = W.site.domains[m];
+        if (pinned[m]) {
+          inst[m] = *pinned[m];
+        } else if (m < cl && (k < 0 || m < k)) {
+          inst[m] = rd.inst[m];
+        } else if (m == k) {
+          inst[m] = rd.inst[m] + -1;
+          for (auto r = dom.ranges.rbegin(); r != dom.ranges.rend(); ++r)
+            alts.push_back(Lin::constant(r->hi));
+        } else {
+          inst[m] = Lin::constant(dom.hull().hi);
+        }
+      }
+      out.push_back(inst);
+      for (const Lin& alt : alts) {
+        out.push_back(inst);
+        out.back()[k] = alt;
+      }
+    }
+    return out;
+  }
+
+  /// Narrow `part` to the iterations where instance `inst` of `w` exists,
+  /// writes the element `rd` reads, and runs before the read.
+  bool admits(const FlowAtom& w, const std::vector<Lin>& inst,
+              const Reader& rd, Box* part) const {
+    const Atom& W = *w.atom;
+    const Atom& R = *atoms_[rd.atom].atom;
+    for (std::size_t m = 0; m < inst.size(); ++m)
+      if (!narrow(part, inst[m], W.site.domains[m])) return false;
+    if (w.tuple.size() != rd.tuple.size()) return false;
+    for (std::size_t d = 0; d < w.tuple.size(); ++d) {
+      const auto e = minus(compose(w.tuple[d], inst), rd.tuple[d]);
+      if (!e || !narrow(part, *e, VarDomain::singleton(0))) return false;
+    }
+    if (W.top != R.top) return W.top < R.top;
+    // Lexicographic precedence over the shared levels: strictly earlier at
+    // the first level where that is possible, equal before it.
+    const int cl = common_levels(W, R);
+    for (int m = 0; m < cl; ++m) {
+      const auto d = minus(inst[m], rd.inst[m]);
+      if (!d) return false;
+      Box earlier = *part;
+      if (narrow(&earlier, *d, VarDomain::range(-kSpan, -1))) {
+        *part = std::move(earlier);
         return true;
       }
-      // A surviving read must stay intact; fall through to the strict
-      // comparison below.
+      if (!narrow(part, *d, VarDomain::singleton(0))) return false;
     }
+    return path_order(W, R) < 0;
+  }
+
+  /// No write of the element `rd` reads runs strictly between instance
+  /// `inst` of `lo` (the program start when lo is null) and the read, for
+  /// any iteration in `box`.
+  bool nothing_between(const Vars& vars, const FlowAtom* lo,
+                       const std::vector<Lin>& inst, const Reader& rd,
+                       const Box& box, int* pairs) const {
+    const Atom& R = *atoms_[rd.atom].atom;
+    for (int w2 : writers_of(rd.loc)) {
+      const FlowAtom& f2 = atoms_[w2];
+      ++*pairs;
+      if (meets(vars, rd, box, f2, {}) == Verdict::kIndependent) continue;
+      const std::vector<OrderCase> after_lo =
+          lo ? order_cases(*lo->atom, inst, *f2.atom, true)
+             : std::vector<OrderCase>(1);
+      const std::vector<OrderCase> before_rd =
+          order_cases(R, rd.inst, *f2.atom, false);
+      for (const OrderCase& c1 : after_lo) {
+        for (const OrderCase& c2 : before_rd) {
+          if (contradictory(c1, c2)) continue;
+          OrderCase both = c1;
+          both.insert(both.end(), c2.begin(), c2.end());
+          if (meets(vars, rd, box, f2, both) != Verdict::kIndependent)
+            return false;
+        }
+      }
+    }
+    return true;
+  }
+
+  /// Can an iteration in `box` read an element that an instance J of `w`
+  /// satisfying `bounds` writes? Decided by elimination when every level
+  /// of J is pinned (by an equality bound or a unit write subscript) or
+  /// only range-bounded and otherwise unused; else by a PairSystem.
+  Verdict meets(const Vars& vars, const Reader& rd, Box box,
+                const FlowAtom& w, const OrderCase& bounds) const {
+    const Atom& W = *w.atom;
+    const std::size_t lw = W.site.loop_vars.size();
+    std::vector<std::optional<Lin>> pin = pinned_by_element(w, rd);
+    for (const LevelBound& b : bounds)
+      if (b.range.lo == b.range.hi && !pin[b.level])
+        pin[b.level] = b.value + b.range.lo;
+    bool exact = true;
+    bool met = true;
+    auto require = [&](const std::optional<Lin>& e, const VarDomain& allowed) {
+      if (!e) {
+        exact = false;
+      } else if (met && !narrow(&box, *e, allowed)) {
+        met = false;
+      }
+    };
+    std::vector<std::vector<const LevelBound*>> loose(lw);
+    for (const LevelBound& b : bounds) {
+      if (pin[b.level]) {
+        require(minus(*pin[b.level], b.value),
+                VarDomain::range(b.range.lo, b.range.hi));
+      } else {
+        loose[b.level].push_back(&b);
+      }
+    }
+    for (std::size_t m = 0; m < lw; ++m) {
+      if (pin[m]) {
+        require(pin[m], W.site.domains[m]);
+        continue;
+      }
+      if (loose[m].empty()) continue;
+      // J[m] appears only in range bounds: some J in its domain fits them
+      // all iff the reader's variable lies in a computable set.
+      const Lin base = loose[m].front()->value;
+      Interval fit = loose[m].front()->range;
+      for (const LevelBound* b : loose[m]) {
+        const auto d = minus(b->value, base);
+        if (!d || !d->is_constant()) {
+          exact = false;
+          break;
+        }
+        fit = {std::max(fit.lo, b->range.lo + d->k),
+               std::min(fit.hi, b->range.hi + d->k)};
+      }
+      if (fit.empty()) met = false;
+      if (!exact || !met) break;
+      // J - base in fit, J in dom  <=>  base in dom - fit.
+      std::vector<Interval> reach;
+      for (const Interval& r : W.site.domains[m].ranges)
+        reach.push_back({r.lo - fit.hi, r.hi - fit.lo});
+      require(Lin::of(base.var, base.coeff, base.k), union_of(reach));
+    }
+    for (std::size_t d = 0; d < w.tuple.size() && exact; ++d) {
+      const Lin& s = w.tuple[d];
+      if (!s.is_constant() && !pin[s.var]) {
+        exact = false;
+        break;
+      }
+      std::vector<Lin> at(lw);
+      for (std::size_t m = 0; m < lw; ++m)
+        if (pin[m]) at[m] = *pin[m];
+      require(minus(compose(s, at), rd.tuple[d]), VarDomain::singleton(0));
+    }
+    if (!met) return Verdict::kIndependent;
+    if (exact) return Verdict::kDependent;
+    return pair_system(vars, rd, box, w, bounds);
+  }
+
+  /// The general fallback of meets(): the same question as a PairSystem.
+  static Verdict pair_system(const Vars& vars, const Reader& rd,
+                             const Box& box, const FlowAtom& w,
+                             const OrderCase& bounds) {
+    auto affine = [&vars](const Lin& l) {
+      return l.is_constant() ? ir::Affine::constant(l.k)
+                             : ir::Affine::var(vars[l.var], l.coeff, l.k);
+    };
+    AffineRef read;
+    read.loop_vars = vars;
+    read.domains = box;
+    for (const Lin& t : rd.tuple) read.subscripts.push_back(affine(t));
+    AffineRef write;
+    write.loop_vars = w.atom->site.loop_vars;
+    write.domains = w.atom->site.domains;
+    write.subscripts = w.subs;
+    PairSystem sys(read, write);
+    for (const LevelBound& b : bounds) {
+      if (!b.value.is_constant() && b.value.coeff != 1) return Verdict::kUnknown;
+      sys.bound_difference(b.value.is_constant() ? -1 : sys.a_var(b.value.var),
+                           b.value.k, sys.b_var(b.level), 0, b.range);
+    }
+    return sys.solve().verdict;
+  }
+};
+
+/// One reference of an after assignment next to the reference of the
+/// before assignment it runs (the lhs too, with `write` set).
+struct RefPair {
+  std::string before_loc;
+  std::vector<ir::Affine> before_subs;
+  std::string after_loc;
+  std::vector<ir::Affine> after_subs;
+  bool write = false;
+};
+
+struct Storage {
+  const ir::Program& before;
+  const ir::Program& after;
+  std::set<std::string> fresh;  // locations only `after` declares
+};
+
+/// Structural equality of before/after expressions where an array
+/// reference may move to fresh storage; records every array reference.
+bool same_modulo_storage(const Storage& st, const ir::Expr& eb,
+                         const ir::Expr& ea, std::vector<RefPair>* refs) {
+  if (eb.kind == ir::ExprKind::kArrayRef) {
+    RefPair rp;
+    rp.before_loc = location('a', st.before.array(eb.array).name);
+    rp.before_subs = eb.subscripts;
+    if (!ref_location(st.after, ea, &rp.after_loc, &rp.after_subs))
+      return false;
+    if (st.fresh.count(rp.after_loc) == 0 &&
+        (rp.after_loc != rp.before_loc || rp.after_subs != rp.before_subs))
+      return false;
+    refs->push_back(std::move(rp));
+    return true;
   }
   if (eb.kind != ea.kind) return false;
   switch (eb.kind) {
@@ -716,9 +1317,6 @@ bool equal_modulo(const ir::Program& pb, const ir::Program& pa,
       return eb.scalar == ea.scalar;
     case ir::ExprKind::kLoopVar:
       return eb.loop_var == ea.loop_var;
-    case ir::ExprKind::kArrayRef:
-      return pb.array(eb.array).name == pa.array(ea.array).name &&
-             eb.subscripts == ea.subscripts;
     case ir::ExprKind::kInput:
       return eb.input_key == ea.input_key &&
              eb.input_extents == ea.input_extents &&
@@ -731,388 +1329,224 @@ bool equal_modulo(const ir::Program& pb, const ir::Program& pa,
         return false;
       if (eb.operands.size() != ea.operands.size()) return false;
       for (std::size_t k = 0; k < eb.operands.size(); ++k)
-        if (!equal_modulo(pb, pa, *eb.operands[k], *ea.operands[k], atom,
-                          spec))
+        if (!same_modulo_storage(st, *eb.operands[k], *ea.operands[k], refs))
           return false;
       return true;
     }
+    case ir::ExprKind::kArrayRef:
+      break;
   }
   return false;
 }
 
-/// Compare one before/after atom pair in lockstep: identical loop context
-/// and path, statements equal modulo the substitution.
-bool atoms_equal_modulo(const ir::Program& pb, const ir::Program& pa,
-                        const Atom& b, const Atom& a, SubstSpec* spec) {
-  if (b.top != a.top || b.site.path != a.site.path) return false;
-  if (b.site.loop_vars != a.site.loop_vars) return false;
-  if (!b.site.exact_domain || !a.site.exact_domain) return false;
-  if (b.site.domains.size() != a.site.domains.size()) return false;
-  for (std::size_t l = 0; l < b.site.domains.size(); ++l) {
-    if (b.site.domains[l].ranges.size() != a.site.domains[l].ranges.size())
-      return false;
-    for (std::size_t k = 0; k < b.site.domains[l].ranges.size(); ++k)
-      if (b.site.domains[l].ranges[k].lo != a.site.domains[l].ranges[k].lo ||
-          b.site.domains[l].ranges[k].hi != a.site.domains[l].ranges[k].hi)
-        return false;
-  }
-  const ir::Stmt& sb = *b.site.stmt;
-  const ir::Stmt& sa = *a.site.stmt;
-  if (sb.kind == ir::StmtKind::kArrayAssign) {
-    auto it = spec->array_to_scalar.find(pb.array(sb.lhs_array).name);
-    if (it != spec->array_to_scalar.end()) {
-      // Write rewritten to the scalar.
-      if (sa.kind != ir::StmtKind::kScalarAssign ||
-          sa.lhs_scalar != it->second)
-        return false;
-      spec->rewritten.push_back(
-          {pb.array(sb.lhs_array).name, sb.lhs_subscripts, true, &b});
-      return equal_modulo(pb, pa, *sb.rhs, *sa.rhs, b, spec);
-    }
-  }
-  if (sb.kind != sa.kind) return false;
-  if (sb.kind == ir::StmtKind::kArrayAssign) {
-    if (pb.array(sb.lhs_array).name != pa.array(sa.lhs_array).name)
-      return false;
-    if (sb.lhs_subscripts != sa.lhs_subscripts) return false;
+/// Does after atom `x` run before atom `b`, on part of its domain, with
+/// the same computation modulo moved storage?
+bool runs_as(const Storage& st, const FlowAtom& b, const FlowAtom& x,
+             std::vector<RefPair>* refs) {
+  const Atom& B = *b.atom;
+  const Atom& X = *x.atom;
+  if (B.top != X.top || B.site.loop_vars != X.site.loop_vars) return false;
+  for (std::size_t l = 0; l < B.site.domains.size(); ++l)
+    if (!subtract(X.site.domains[l], B.site.domains[l]).empty()) return false;
+  refs->clear();
+  if (B.site.stmt->kind == ir::StmtKind::kScalarAssign) {
+    if (x.loc != b.loc) return false;  // scalars never move
   } else {
-    if (sb.lhs_scalar != sa.lhs_scalar) return false;
+    if (st.fresh.count(x.loc) == 0 && (x.loc != b.loc || x.subs != b.subs))
+      return false;
+    refs->push_back({b.loc, b.subs, x.loc, x.subs, true});
   }
-  return equal_modulo(pb, pa, *sb.rhs, *sa.rhs, b, spec);
+  return same_modulo_storage(st, *B.site.stmt->rhs, *X.site.stmt->rhs, refs);
 }
 
-/// Cross-iteration conflict between two refs of the same full-depth
-/// context: can distinct iterations touch a common element? Used for
-/// injectivity and write/read isolation proofs.
-Verdict distinct_iteration_conflict(const AffineRef& a, const AffineRef& b,
-                                    Interval delta_at_some_level) {
-  int levels = static_cast<int>(a.loop_vars.size());
-  bool unknown = false;
-  for (int l = 0; l < levels; ++l) {
-    for (int sign = -1; sign <= 1; sign += 2) {
-      PairSystem sys(a, b);
-      for (int m = 0; m < l; ++m)
-        sys.bound_difference(sys.a_var(m), 0, sys.b_var(m), 0, {0, 0});
-      Interval r = sign < 0 ? Interval{delta_at_some_level.lo, -1}
-                            : Interval{1, delta_at_some_level.hi};
-      sys.bound_difference(sys.a_var(l), 0, sys.b_var(l), 0, r);
-      Feasibility f = sys.solve();
-      if (f.verdict == Verdict::kDependent) return Verdict::kDependent;
-      if (f.verdict == Verdict::kUnknown) unknown = true;
-    }
-  }
-  return unknown ? Verdict::kUnknown : Verdict::kIndependent;
+/// A copy between fresh locations: `F[...] = G[...]`.
+bool as_copy(const Storage& st, FlowAtom* x) {
+  std::vector<ir::Affine> src;
+  if (st.fresh.count(x->loc) == 0 ||
+      !ref_location(st.after, *x->atom->site.stmt->rhs, &x->src_loc, &src) ||
+      st.fresh.count(x->src_loc) == 0 ||
+      !to_lins(src, x->atom->site.loop_vars, &x->src_tuple))
+    return false;
+  x->copy = true;
+  return true;
 }
 
-/// `w` (a write) strictly before `r` in event order, touching a common
-/// element: infeasible? Both refs belong to atoms of the same program.
-Verdict write_before_read_conflict(const ir::Program& /*program*/,
-                                   const Atom& wa, const AffineRef& w,
-                                   const Atom& ra, const AffineRef& r) {
-  if (wa.top < ra.top) {
-    PairSystem sys(w, r);
-    Feasibility f = sys.solve();
-    return f.verdict;
+LegalityResult prove_value_flow(const ir::Program& before,
+                                const ir::Program& after) {
+  LegalityResult res;
+  auto unknown = [&res](const char* why) {
+    res.verdict = LegalityVerdict::kUnknown;
+    res.reason = why;
+    return res;
+  };
+  bool exact_b = true, exact_a = true;
+  const std::vector<Atom> ba = collect_atoms(before, &exact_b);
+  const std::vector<Atom> aa = collect_atoms(after, &exact_a);
+  if (!exact_b || !exact_a) return unknown("unrefinable-guard");
+
+  // `after` keeps every declaration of `before`, adds fresh storage, and
+  // exposes the same outputs.
+  if (after.array_count() < before.array_count())
+    return unknown("decl-mismatch");
+  for (int a = 0; a < before.array_count(); ++a) {
+    const ir::ArrayDecl& db = before.array(a);
+    const ir::ArrayDecl& da = after.array(a);
+    if (db.name != da.name || db.extents != da.extents ||
+        db.elem_bytes != da.elem_bytes || !(db.layout == da.layout))
+      return unknown("decl-mismatch");
   }
-  if (wa.top > ra.top) return Verdict::kIndependent;
-  // Same top statement: writer earlier in some shared level, or same
-  // iteration with an earlier body position.
-  int cl = common_levels(wa, ra);
-  bool unknown = false;
-  for (int l = 0; l < cl; ++l) {
-    for (int sign : {1}) {
-      (void)sign;
-      // delta = r_iter - w_iter > 0 at the first differing level.
-      PairSystem sys(w, r);
-      for (int m = 0; m < l; ++m)
-        sys.bound_difference(sys.a_var(m), 0, sys.b_var(m), 0, {0, 0});
-      sys.bound_difference(sys.a_var(l), 0, sys.b_var(l), 0, {1, kSpan});
-      Feasibility f = sys.solve();
-      if (f.verdict == Verdict::kDependent) return Verdict::kDependent;
-      if (f.verdict == Verdict::kUnknown) unknown = true;
+  for (const auto& s : before.scalars())
+    if (!after.has_scalar(s)) return unknown("decl-mismatch");
+  auto outputs = [](const ir::Program& p) {
+    std::set<std::string> out;
+    for (const auto& s : p.output_scalars()) out.insert(location('s', s));
+    for (ir::ArrayId id : p.output_arrays())
+      out.insert(location('a', p.array(id).name));
+    return out;
+  };
+  const std::set<std::string> outs = outputs(before);
+  if (outs != outputs(after)) return unknown("output-mismatch");
+  Storage st{before, after, {}};
+  for (int a = before.array_count(); a < after.array_count(); ++a)
+    st.fresh.insert(location('a', after.array(a).name));
+  for (const auto& s : after.scalars())
+    if (!before.has_scalar(s)) st.fresh.insert(location('s', s));
+
+  // Align: each after atom runs the current or the next before atom (a
+  // guard split runs one atom as arms with disjoint domains), or is a copy
+  // between fresh locations.
+  std::vector<FlowAtom> fb, fa;
+  for (const Atom& a : ba) fb.push_back(flow_atom(before, a));
+  for (const Atom& a : aa) fa.push_back(flow_atom(after, a));
+  std::vector<std::vector<RefPair>> refs(aa.size());
+  std::vector<std::vector<int>> runs(ba.size());
+  int k = -1;
+  for (std::size_t x = 0; x < aa.size(); ++x) {
+    const Vars& vars = aa[x].site.loop_vars;
+    if (std::set<std::string>(vars.begin(), vars.end()).size() != vars.size())
+      return unknown("shadowed-loop-var");
+    auto disjoint_arm = [&](int b) {
+      for (int y : runs[b])
+        if (!box_empty(box_intersect(aa[x].site.domains, aa[y].site.domains)))
+          return false;
+      return true;
+    };
+    if (k >= 0 && runs_as(st, fb[k], fa[x], &refs[x]) && disjoint_arm(k)) {
+      // another arm of atom k
+    } else if (k + 1 < static_cast<int>(ba.size()) &&
+               runs_as(st, fb[k + 1], fa[x], &refs[x])) {
+      ++k;
+    } else if (as_copy(st, &fa[x])) {
+      refs[x].clear();
+      continue;
+    } else {
+      return unknown("atom-mismatch");
+    }
+    fa[x].before = k;
+    runs[k].push_back(static_cast<int>(x));
+  }
+  if (k + 1 != static_cast<int>(ba.size())) return unknown("atom-mismatch");
+
+  // The arms of each before atom cover its domain, and any two running
+  // atoms share exactly the loops their before atoms share: every instance
+  // runs once, in the original order.
+  for (std::size_t b = 0; b < ba.size(); ++b) {
+    std::vector<Box> rest{ba[b].site.domains};
+    for (int y : runs[b]) {
+      std::vector<Box> next;
+      for (const Box& r : rest)
+        for (auto& piece : box_minus(r, box_intersect(r, aa[y].site.domains)))
+          next.push_back(std::move(piece));
+      rest = std::move(next);
+    }
+    if (!rest.empty()) return unknown("instances-dropped");
+  }
+  for (std::size_t x = 0; x < aa.size(); ++x) {
+    if (fa[x].copy) continue;
+    for (std::size_t y = x + 1; y < aa.size(); ++y) {
+      if (fa[y].copy) continue;
+      if (common_levels(aa[x], aa[y]) !=
+          common_levels(ba[fa[x].before], ba[fa[y].before]))
+        return unknown("schedule-changed");
     }
   }
-  if (path_order(wa, ra) < 0) {
-    // Same iteration, writer's statement executes first.
-    PairSystem sys(w, r);
-    for (int m = 0; m < cl; ++m)
-      sys.bound_difference(sys.a_var(m), 0, sys.b_var(m), 0, {0, 0});
-    Feasibility f = sys.solve();
-    if (f.verdict == Verdict::kDependent) return Verdict::kDependent;
-    if (f.verdict == Verdict::kUnknown) unknown = true;
+
+  // Moved arrays: some reference went to fresh storage. None may be an
+  // output or still be written in `after`, so reads left in place see the
+  // array's initial contents there.
+  std::set<std::string> moved;
+  for (const auto& rs : refs)
+    for (const RefPair& rp : rs)
+      if (st.fresh.count(rp.after_loc)) moved.insert(rp.before_loc);
+  if (moved.empty()) return unknown("no-moved-storage");
+  for (const auto& loc : moved)
+    if (outs.count(loc)) return unknown("moved-array-is-output");
+  for (const auto& rs : refs)
+    for (const RefPair& rp : rs)
+      if (rp.write && rp.after_loc == rp.before_loc &&
+          moved.count(rp.before_loc))
+        return unknown("partial-substitution");
+
+  // The obligation: every read of a moved array observes, in both
+  // programs, the same assignment instance.
+  const FlowSide sb(std::move(fb));
+  const FlowSide sa(std::move(fa));
+  for (std::size_t x = 0; x < aa.size(); ++x) {
+    const FlowAtom& fx = sa.atoms()[x];
+    if (fx.copy) continue;
+    const Vars& vars = aa[x].site.loop_vars;
+    std::vector<Lin> identity;
+    for (std::size_t l = 0; l < vars.size(); ++l)
+      identity.push_back(Lin::of(static_cast<int>(l), 1, 0));
+    const Box& region = aa[x].site.domains;
+    for (const RefPair& rp : refs[x]) {
+      if (rp.write || !moved.count(rp.before_loc)) continue;
+      Reader rb{fx.before, identity, rp.before_loc, {}};
+      Reader ra{static_cast<int>(x), identity, rp.after_loc, {}};
+      std::vector<Origin> ob, oa;
+      if (!to_lins(rp.before_subs, vars, &rb.tuple) ||
+          !to_lins(rp.after_subs, vars, &ra.tuple) ||
+          !sb.resolve(vars, rb, region, &ob, &res.pairs_checked))
+        return unknown("reaching-write-unknown");
+      if (rp.after_loc == rp.before_loc) {
+        // Left in place: `after` never writes the array, so the original
+        // read must see initial contents too.
+        for (const Origin& o : ob)
+          if (o.atom >= 0) return unknown("kept-read-observes-write");
+        continue;
+      }
+      if (!sa.resolve(vars, ra, region, &oa, &res.pairs_checked))
+        return unknown("reaching-write-unknown");
+      for (const Origin& o1 : ob) {
+        for (const Origin& o2 : oa) {
+          const Box both = box_intersect(o1.box, o2.box);
+          if (box_empty(both)) continue;
+          if (o1.atom < 0 || o2.atom < 0 ||
+              sa.atoms()[o2.atom].before != o1.atom)
+            return unknown("value-flow-mismatch");
+          for (std::size_t m = 0; m < o1.inst.size(); ++m) {
+            const auto d = minus(o1.inst[m], o2.inst[m]);
+            if (!d || !zero_over(both, *d))
+              return unknown("value-flow-mismatch");
+          }
+        }
+      }
+    }
   }
-  return unknown ? Verdict::kUnknown : Verdict::kIndependent;
+  res.verdict = LegalityVerdict::kProven;
+  return res;
 }
 
 }  // namespace
 
 LegalityResult prove_store_elimination(const ir::Program& before,
                                        const ir::Program& after) {
-  LegalityResult res;
-  // Arrays written in before but never written in after were eliminated;
-  // their forwarding scalars are the after-only scalars.
-  bool exact_b = true, exact_a = true;
-  std::vector<Atom> ba = collect_atoms(before, &exact_b);
-  std::vector<Atom> aa = collect_atoms(after, &exact_a);
-  if (!exact_b || !exact_a) {
-    res.reason = "unrefinable-guard";
-    return res;
-  }
-  if (ba.size() != aa.size()) {
-    res.reason = "atom-count-mismatch";
-    return res;
-  }
-  // Discover eliminated arrays: before atom writes array A, the positional
-  // after atom writes a scalar.
-  SubstSpec spec;
-  for (std::size_t i = 0; i < ba.size(); ++i) {
-    const ir::Stmt& sb = *ba[i].site.stmt;
-    const ir::Stmt& sa = *aa[i].site.stmt;
-    if (sb.kind == ir::StmtKind::kArrayAssign &&
-        sa.kind == ir::StmtKind::kScalarAssign) {
-      const std::string& arr = before.array(sb.lhs_array).name;
-      auto it = spec.array_to_scalar.find(arr);
-      if (it != spec.array_to_scalar.end() && it->second != sa.lhs_scalar) {
-        res.reason = "inconsistent-forwarding-scalar";
-        return res;
-      }
-      spec.array_to_scalar[arr] = sa.lhs_scalar;
-    }
-  }
-  if (spec.array_to_scalar.empty()) {
-    res.reason = "no-eliminated-array";
-    return res;
-  }
-  for (const auto& [arr, scalar] : spec.array_to_scalar) {
-    // The forwarding scalar must be fresh and must not be an output.
-    for (const auto& s : before.scalars()) {
-      if (s == scalar) {
-        res.reason = "forwarding-scalar-not-fresh";
-        return res;
-      }
-    }
-    ir::ArrayId id = before.array_id(arr);
-    if (id >= 0 && before.is_output_array(id)) {
-      res.reason = "eliminated-array-is-output";
-      return res;
-    }
-  }
-  for (std::size_t i = 0; i < ba.size(); ++i) {
-    if (!atoms_equal_modulo(before, after, ba[i], aa[i], &spec)) {
-      res.reason = "atom-mismatch";
-      return res;
-    }
-  }
-  // Per eliminated array: single writer statement; rewritten reads are in
-  // the writer's iteration with the identical tuple, after the write; the
-  // write tuple is injective across iterations; surviving reads never
-  // observe an eliminated write.
-  for (const auto& [arr, scalar] : spec.array_to_scalar) {
-    const SubstSpec::RewrittenRef* writer = nullptr;
-    for (const auto& rw : spec.rewritten) {
-      if (rw.array != arr || !rw.write) continue;
-      if (writer != nullptr) {
-        res.reason = "multiple-writers";
-        return res;
-      }
-      writer = &rw;
-    }
-    if (!writer) {
-      res.reason = "no-writer";
-      return res;
-    }
-    AffineRef wref;
-    wref.array = arr;
-    wref.subscripts = writer->tuple;
-    wref.write = true;
-    wref.loop_vars = writer->atom->site.loop_vars;
-    wref.domains = writer->atom->site.domains;
-    // Injectivity: distinct iterations write distinct elements.
-    ++res.pairs_checked;
-    if (distinct_iteration_conflict(wref, wref, {-kSpan, kSpan}) !=
-        Verdict::kIndependent) {
-      res.reason = "write-tuple-not-injective";
-      return res;
-    }
-    // Rewritten reads: same statement context as the writer, same tuple,
-    // executed after the write in the same iteration.
-    for (const auto& rw : spec.rewritten) {
-      if (rw.array != arr || rw.write) continue;
-      const Atom& rat = *rw.atom;
-      if (rat.top != writer->atom->top ||
-          common_levels(rat, *writer->atom) !=
-              static_cast<int>(rat.site.loop_vars.size()) ||
-          rat.site.loop_vars.size() !=
-              writer->atom->site.loop_vars.size()) {
-        res.reason = "forwarded-read-outside-writer-nest";
-        return res;
-      }
-      if (path_order(*writer->atom, rat) > 0) {
-        res.reason = "forwarded-read-before-write";
-        return res;
-      }
-      if (!(rw.tuple == writer->tuple)) {
-        res.reason = "forwarded-read-tuple-mismatch";
-        return res;
-      }
-      ++res.pairs_checked;
-    }
-    // Surviving reads of the array in `before` (and, identically, in
-    // `after`): must never read an element some write instance has
-    // already produced -- otherwise removing the writes changes them.
-    for (const auto& at : ba) {
-      for (const auto& ref : site_refs(before, at.site)) {
-        if (ref.write || ref.array != arr) continue;
-        // Skip reads that were rewritten (they match the writer's own
-        // statement tuple records).
-        bool rewritten = false;
-        for (const auto& rw : spec.rewritten) {
-          if (rw.array != arr || rw.write) continue;
-          if (rw.atom->top == at.top && rw.atom->site.path == at.site.path &&
-              rw.tuple == ref.subscripts)
-            rewritten = true;
-        }
-        if (rewritten) continue;
-        ++res.pairs_checked;
-        Verdict v = write_before_read_conflict(before, *writer->atom, wref,
-                                               at, ref);
-        if (v != Verdict::kIndependent) {
-          res.reason = "surviving-read-observes-write";
-          return res;
-        }
-      }
-    }
-  }
-  res.verdict = LegalityVerdict::kProven;
-  return res;
+  return prove_value_flow(before, after);
 }
 
 LegalityResult prove_storage_reduction(const ir::Program& before,
                                        const ir::Program& after) {
-  LegalityResult res;
-  bool exact_b = true, exact_a = true;
-  std::vector<Atom> ba = collect_atoms(before, &exact_b);
-  std::vector<Atom> aa = collect_atoms(after, &exact_a);
-  if (!exact_b || !exact_a) {
-    res.reason = "unrefinable-guard";
-    return res;
-  }
-  if (ba.size() != aa.size()) {
-    // Shrinking/peeling insert copy statements; only pure contraction is
-    // modelled statically.
-    res.reason = "not-pure-contraction";
-    return res;
-  }
-  SubstSpec spec;
-  for (std::size_t i = 0; i < ba.size(); ++i) {
-    const ir::Stmt& sb = *ba[i].site.stmt;
-    const ir::Stmt& sa = *aa[i].site.stmt;
-    if (sb.kind == ir::StmtKind::kArrayAssign &&
-        sa.kind == ir::StmtKind::kScalarAssign) {
-      const std::string& arr = before.array(sb.lhs_array).name;
-      auto it = spec.array_to_scalar.find(arr);
-      if (it != spec.array_to_scalar.end() && it->second != sa.lhs_scalar) {
-        res.reason = "inconsistent-contraction-scalar";
-        return res;
-      }
-      spec.array_to_scalar[arr] = sa.lhs_scalar;
-    }
-  }
-  if (spec.array_to_scalar.empty()) {
-    res.reason = "no-contracted-array";
-    return res;
-  }
-  for (const auto& [arr, scalar] : spec.array_to_scalar) {
-    for (const auto& s : before.scalars()) {
-      if (s == scalar) {
-        res.reason = "contraction-scalar-not-fresh";
-        return res;
-      }
-    }
-    ir::ArrayId id = before.array_id(arr);
-    if (id >= 0 && before.is_output_array(id)) {
-      res.reason = "contracted-array-is-output";
-      return res;
-    }
-  }
-  for (std::size_t i = 0; i < ba.size(); ++i) {
-    if (!atoms_equal_modulo(before, after, ba[i], aa[i], &spec)) {
-      res.reason = "atom-mismatch";
-      return res;
-    }
-  }
-  // Every read of a contracted array must be dominated, within the same
-  // iteration of a common full-depth nest, by the nearest preceding write,
-  // with the identical subscript tuple (live range inside one iteration).
-  for (const auto& [arr, scalar] : spec.array_to_scalar) {
-    // Collect refs of `before` in execution order.
-    struct Occ {
-      const Atom* atom;
-      std::vector<ir::Affine> tuple;
-      bool write;
-    };
-    std::vector<Occ> occs;
-    for (const auto& at : ba) {
-      // site_refs returns rhs reads (pre-order) then the lhs write, which
-      // is exactly the within-statement event order.
-      for (const auto& ref : site_refs(before, at.site)) {
-        if (ref.array != arr) continue;
-        occs.push_back({&at, ref.subscripts, ref.write});
-      }
-    }
-    if (occs.empty()) continue;
-    const Atom* anchor = occs.front().atom;
-    for (const auto& o : occs) {
-      if (o.atom->top != anchor->top ||
-          o.atom->site.loop_vars != anchor->site.loop_vars ||
-          common_levels(*o.atom, *anchor) !=
-              static_cast<int>(anchor->site.loop_vars.size())) {
-        res.reason = "refs-span-nests";
-        return res;
-      }
-      // Guarded refs would make "preceding write in every iteration"
-      // unsound; require full-domain contexts identical to the anchor's.
-      if (o.atom->site.domains.size() != anchor->site.domains.size()) {
-        res.reason = "refs-span-nests";
-        return res;
-      }
-      for (std::size_t l = 0; l < anchor->site.domains.size(); ++l) {
-        const auto& da = o.atom->site.domains[l];
-        const auto& db = anchor->site.domains[l];
-        if (da.ranges.size() != db.ranges.size()) {
-          res.reason = "guarded-contraction-ref";
-          return res;
-        }
-        for (std::size_t k = 0; k < da.ranges.size(); ++k)
-          if (da.ranges[k].lo != db.ranges[k].lo ||
-              da.ranges[k].hi != db.ranges[k].hi) {
-            res.reason = "guarded-contraction-ref";
-            return res;
-          }
-      }
-    }
-    // Body-order simulation: the scalar must hold the value of the element
-    // each read expects.
-    const std::vector<ir::Affine>* last_write = nullptr;
-    for (const auto& o : occs) {
-      if (o.write) {
-        last_write = &o.tuple;
-      } else {
-        if (last_write == nullptr || !(*last_write == o.tuple)) {
-          res.reason = "read-not-dominated-by-same-tuple-write";
-          return res;
-        }
-        ++res.pairs_checked;
-      }
-    }
-    if (last_write == nullptr) {
-      res.reason = "no-write";
-      return res;
-    }
-    ++res.pairs_checked;
-  }
-  res.verdict = LegalityVerdict::kProven;
-  return res;
+  return prove_value_flow(before, after);
 }
 
 LegalityResult prove_layout_change(const ir::Program& before,

@@ -16,17 +16,16 @@
 //                           loop levels. Commutative reductions get the
 //                           same order exemption the trace validator grants.
 //
-//   prove_store_elimination writebacks to a dead array forwarded through a
-//                           scalar: re-derives single-writer / injective
-//                           subscripts / no-later-reads from the IR, and
-//                           proves surviving reads never observe an
-//                           eliminated write.
-//
-//   prove_storage_reduction array-to-scalar contraction: every read is
-//                           dominated, in the same iteration, by a write
-//                           of the identical subscript tuple (live range
-//                           provably inside one iteration). Shrinking and
-//                           peeling rewrites answer kUnknown by design.
+//   prove_store_elimination one value-flow prover for both storage
+//   prove_storage_reduction rewrites: every assignment still runs once, in
+//                           order (a guard split may run one as two arms),
+//                           references to some arrays move to fresh
+//                           storage (scalars, column buffers, peeled
+//                           columns) with fresh-to-fresh copies between,
+//                           and every read of a moved array observes the
+//                           same write instance before and after --
+//                           covering contraction, shrinking, peeling and
+//                           store elimination.
 //
 // kProven is a certificate valid for all problem sizes the bounds encode;
 // kRefuted carries a concrete dependence-reversal witness; kUnknown means
@@ -67,12 +66,14 @@ LegalityResult prove_reschedule(const ir::Program& before,
                                 const ir::Program& after);
 
 /// Prove a store-elimination rewrite (writes to dead arrays forwarded
-/// through fresh scalars, reads of the stored value rewritten).
+/// through fresh scalars, reads of the stored value rewritten) by value
+/// flow: the same prover as prove_storage_reduction.
 LegalityResult prove_store_elimination(const ir::Program& before,
                                        const ir::Program& after);
 
-/// Prove a storage-reduction rewrite. Only full array-to-scalar
-/// contraction is modelled; shrinking/peeling rewrites return kUnknown.
+/// Prove a storage-reduction rewrite (contraction to a scalar, shrinking
+/// to cur/prev column buffers, peeling a boundary column) by value flow:
+/// each read of a reduced array observes the same write instance.
 LegalityResult prove_storage_reduction(const ir::Program& before,
                                        const ir::Program& after);
 

@@ -4,9 +4,8 @@
 // The golden test at the bottom freezes the deterministic result schema
 // against tests/golden/server_protocol.json.
 //
-// To regenerate the golden after an intentional schema change:
-//   BWC_REGEN_GOLDEN=1 build/tests/server_test \
-//     --gtest_filter=ServerGolden.ProtocolResult
+// To regenerate the golden after an intentional schema change, run
+//   BWC_REGEN_GOLDEN=1 build/tests/server_test --gtest_filter=ServerGolden.ProtocolResult
 // and bump kProtocolVersion in src/bwc/server/protocol.h.
 #include <gtest/gtest.h>
 
@@ -344,7 +343,7 @@ TEST(ServerProtocol, ParsesMinimalOptimizeRequestWithDefaults) {
       parse_request(R"({"op":"optimize","program":"double x\n"})");
   EXPECT_EQ(r.op, Request::Op::kOptimize);
   EXPECT_EQ(r.program, "double x\n");
-  EXPECT_EQ(r.pipeline, "");
+  EXPECT_FALSE(r.pipeline.has_value());
   EXPECT_EQ(r.machine, "o2k");
   EXPECT_EQ(r.cores, 1);
   EXPECT_EQ(r.scale, 16u);
@@ -595,6 +594,22 @@ TEST(ServerService, BlankPipelineRunsNoPass) {
   ASSERT_NE(v.find("passes"), nullptr);
   EXPECT_TRUE(v.find("passes")->items().empty());
   ASSERT_NE(v.find("optimized"), nullptr);
+  EXPECT_EQ(v.find("optimized")->as_string(), v.find("program")->as_string());
+}
+
+TEST(ServerService, ExplicitEmptyPipelineRunsNoPass) {
+  // "pipeline": "" on the wire is the empty pipeline, not the default
+  // one, and it is cached under its own key.
+  const std::string wire = render_request(small_request());
+  ASSERT_EQ(wire.front(), '{');
+  const Request absent = parse_request(wire);
+  Request empty = parse_request(R"({"pipeline":"",)" + wire.substr(1));
+  Service service(ServiceOptions{});
+  EXPECT_NE(service.cache_key_text(empty), service.cache_key_text(absent));
+  empty.measure = false;
+  const JsonValue v = parse_json(Service::compute_result_body(empty));
+  ASSERT_NE(v.find("passes"), nullptr);
+  EXPECT_TRUE(v.find("passes")->items().empty());
   EXPECT_EQ(v.find("optimized")->as_string(), v.find("program")->as_string());
 }
 

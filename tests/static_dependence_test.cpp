@@ -243,8 +243,9 @@ TEST(SummarizeDependences, DisjointLoopsAreIndependent) {
   p.append(loop("i", 0, 99, assign(a, {v("i", 100)}, lvar("i"))));
   const DependenceSummary s = summarize_dependences(p);
   for (const StmtDependence& d : s.pairs) {
-    if (d.stmt_a == 0 && d.stmt_b == 1)
+    if (d.stmt_a == 0 && d.stmt_b == 1) {
       EXPECT_EQ(d.verdict, Verdict::kIndependent) << d.array;
+    }
   }
   EXPECT_EQ(s.unknown, 0);
 }
